@@ -19,6 +19,7 @@ use supernova_linalg::ops::Op;
 use supernova_linalg::Mat;
 use supernova_runtime::{CostModel, NodeWork, SchedulerConfig, StepTrace};
 use supernova_solvers::{RaIsam2Config, SolverEngine};
+use supernova_sparse::interference::certify;
 use supernova_sparse::{
     BlockMat, BlockPattern, ExecutionPlan, NumericFactor, ParallelExecutor, SymbolicFactor,
 };
@@ -86,7 +87,9 @@ fn synthetic_trace() -> StepTrace {
 /// Factorize a banded-plus-loop SPD system on the real plan executor at
 /// several thread counts (full refactor and an incremental dirty subset)
 /// and validate every resulting [`supernova_sparse::HostSchedule`] for
-/// coverage, happens-before, and per-worker exclusivity.
+/// coverage, happens-before, and per-worker exclusivity. The plan runs
+/// with its certificate, so every multi-threaded full refactor must be
+/// level-batched on more than one worker.
 fn check_host_schedules() -> Result<usize, String> {
     let blocks = 24usize;
     let mut pattern = BlockPattern::new((0..blocks).map(|i| 2 + i % 3).collect());
@@ -111,6 +114,12 @@ fn check_host_schedules() -> Result<usize, String> {
     let plan = ExecutionPlan::from_symbolic(&sym);
     let all: Vec<usize> = (0..blocks).collect();
     let dirty = vec![3usize, 15];
+    let cert = certify(&plan).map_err(|v| {
+        format!(
+            "host-schedule plan does not certify: {} violation(s)",
+            v.len()
+        )
+    })?;
 
     let mut checked = 0usize;
     for threads in [1usize, 2, 4, 8] {
@@ -118,8 +127,14 @@ fn check_host_schedules() -> Result<usize, String> {
         let mut num = NumericFactor::empty(&plan);
         for (label, seeds) in [("full", &all), ("incremental", &dirty)] {
             let (stats, sched) = num
-                .execute_plan(&plan, &h, seeds, &exec)
+                .execute_plan(&plan, &h, seeds, &exec, Some(&cert))
                 .map_err(|e| format!("{threads} threads ({label}): factorization failed: {e}"))?;
+            if threads > 1 && label == "full" && sched.workers < 2 {
+                return Err(format!(
+                    "{threads} threads (full): ran on {} worker(s), not level-batched",
+                    sched.workers
+                ));
+            }
             let violations = validate_host_schedule(&plan, &sched, &stats.recomputed_nodes());
             if !violations.is_empty() {
                 let msgs: Vec<String> = violations

@@ -783,6 +783,7 @@ mod tests {
     mod host {
         use super::super::*;
         use supernova_linalg::Mat;
+        use supernova_sparse::interference::certify;
         use supernova_sparse::{
             BlockMat, BlockPattern, NumericFactor, ParallelExecutor, SymbolicFactor,
         };
@@ -807,9 +808,16 @@ mod tests {
                 h.add_to_block(j, j, &Mat::from_diag(&vec![6.0; dims[j]]));
             }
             let all: Vec<usize> = (0..p.num_blocks()).collect();
+            let cert = certify(&plan).expect("loopy plan certifies");
             let mut num = NumericFactor::empty(&plan);
             let (stats, sched) = num
-                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
+                .execute_plan(
+                    &plan,
+                    &h,
+                    &all,
+                    &ParallelExecutor::new(threads),
+                    Some(&cert),
+                )
                 .expect("SPD fixture");
             (plan, sched, stats.recomputed_nodes())
         }
@@ -820,6 +828,7 @@ mod tests {
                 let (plan, sched, recomputed) = run(threads);
                 let v = validate_host_schedule(&plan, &sched, &recomputed);
                 assert!(v.is_empty(), "{threads} threads: {v:?}");
+                assert_eq!(sched.workers > 1, threads > 1, "{threads} threads");
             }
         }
 

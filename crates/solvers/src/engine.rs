@@ -73,8 +73,7 @@ pub struct IncrementalCore {
     plan_structure: Option<(usize, usize, SplitConfig)>,
     /// Level-safety certificate for the cached plan, computed once per
     /// plan rebuild by the static interference checker. `None` if the
-    /// plan could not be proven safe — the executor then falls back to
-    /// dependency-counted dispatch.
+    /// plan could not be proven safe — the executor then runs it serially.
     plan_cert: Option<PlanCertificate>,
     /// Bumped every time the plan cache is rebuilt (testability hook for
     /// the invalidation rules).
@@ -403,8 +402,7 @@ impl IncrementalCore {
         if self.plan.is_none() || self.plan_structure != Some(structure) {
             let sym = SymbolicFactor::analyze(&self.pattern, self.relax);
             let plan = ExecutionPlan::from_symbolic_with_split(&sym, self.split);
-            // Certify once per rebuild; an unprovable plan just keeps the
-            // dependency-counted dispatch path.
+            // Certify once per rebuild; an unprovable plan runs serially.
             self.plan_cert = interference::certify(&plan).ok();
             self.plan = Some(plan);
             self.plan_structure = Some(structure);
@@ -569,13 +567,11 @@ impl IncrementalCore {
         let stats = loop {
             let cert = self.plan_cert.as_ref();
             let result = match self.num.as_mut() {
-                Some(num) => {
-                    num.execute_plan_certified(plan, &self.h, &dirty, &self.executor, cert)
-                }
+                Some(num) => num.execute_plan(plan, &self.h, &dirty, &self.executor, cert),
                 None => {
                     let all: Vec<usize> = (0..plan.num_blocks()).collect();
                     let mut num = NumericFactor::empty(plan);
-                    num.execute_plan_certified(plan, &self.h, &all, &self.executor, cert)
+                    num.execute_plan(plan, &self.h, &all, &self.executor, cert)
                         .map(|out| {
                             self.num = Some(num);
                             out

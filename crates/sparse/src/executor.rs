@@ -4,20 +4,22 @@
 //! This module is one of the few places in the workspace allowed to spawn
 //! OS threads (`supernova-analyze`'s `thread-spawn` lint keeps a declared
 //! allowlist; the serve dispatcher's worker pool is the other notable
-//! entry). The pool runs an
-//! [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
-//! as soon as their recomputed children finish; because every task is a
-//! pure function of the Hessian and its children's cached update matrices
-//! — merged in the plan's fixed child order — results are bit-identical to
-//! serial execution at any thread count.
+//! entry). An [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
+//! run either inline in postorder or, when a [`PlanCertificate`] proves
+//! the plan level-safe, level by level on a worker pool with a barrier
+//! between levels. Because every task is a pure function of the Hessian
+//! and its children's cached update matrices — merged in the plan's fixed
+//! child order — results are bit-identical to serial execution at any
+//! thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use supernova_linalg::{KernelScratch, Mat, NumericMode};
 
 use crate::interference::PlanCertificate;
+use crate::plan::UnitKind;
 use crate::ExecutionPlan;
 
 /// A worker's preallocated scratch buffers, reused across every task the
@@ -98,18 +100,21 @@ impl Workspace {
 /// How a plan execution sequenced its tasks. Recorded on every
 /// [`HostSchedule`] (and exported as the `dispatch_mode` counter on exec
 /// trace spans) so benchmarks and CI can see which dispatch path ran.
+///
+/// The encodings are stable trace values; 1 is retired and never
+/// produced.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Inline postorder on the calling thread (one worker).
+    /// Inline postorder on the calling thread (one worker): every
+    /// single-threaded execution, every execution with at most one
+    /// recomputed task, and every multi-threaded execution whose plan has
+    /// no covering [`PlanCertificate`].
     #[default]
     Serial = 0,
-    /// Worker pool with per-task dependency counters and a shared ready
-    /// queue — correct for *any* plan, but every task completion takes the
-    /// queue lock.
-    DepCounted = 1,
-    /// Worker pool with one atomic claim cursor per topological level and
-    /// a barrier between levels — no locks on the task path. Requires a
-    /// [`PlanCertificate`] proving intra-level tasks access-disjoint.
+    /// Worker pool with one atomic claim cursor per level (task level, or
+    /// sub-level for a plan with a split overlay) and a barrier between
+    /// levels — no locks on the task path. Requires a [`PlanCertificate`]
+    /// proving same-level work access-disjoint.
     LevelBatched = 2,
 }
 
@@ -118,18 +123,6 @@ impl DispatchMode {
     pub fn as_u64(self) -> u64 {
         self as u64
     }
-}
-
-/// Which dispatch strategies an executor may pick from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Use level-batched dispatch whenever a covering [`PlanCertificate`]
-    /// is supplied; fall back to dependency counting otherwise.
-    #[default]
-    Auto,
-    /// Always use dependency-counted dispatch, even for certified plans
-    /// (for A/B comparison and as a conservative escape hatch).
-    DepCounted,
 }
 
 /// One executed task span in a host schedule: which worker ran which
@@ -208,15 +201,14 @@ impl HostSchedule {
 
     /// Total dispatch overhead in worker-seconds: wall-clock capacity the
     /// pool held (`makespan × workers`) minus the time workers actually
-    /// spent inside tasks. Covers queue locking, dependency bookkeeping,
-    /// barrier waits and level-tail idling.
+    /// spent inside tasks. Covers level claiming, barrier waits and
+    /// level-tail idling.
     pub fn dispatch_overhead_s(&self) -> f64 {
         (self.makespan() * self.workers as f64 - self.busy_time()).max(0.0)
     }
 
-    /// Dispatch overhead per executed task, in seconds — the metric the
-    /// benchmark gate tracks across the dep-counted → level-batched
-    /// transition.
+    /// Dispatch overhead per executed span, in seconds — the per-task cost
+    /// of level-batched dispatch that the benchmark gate tracks.
     pub fn dispatch_overhead_per_task_s(&self) -> f64 {
         if self.spans.is_empty() {
             0.0
@@ -245,7 +237,7 @@ pub struct PoolStats {
 ///
 /// `threads == 1` executes inline on the calling thread (no pool, no
 /// locking); `threads > 1` spins up a scoped `std::thread` pool per
-/// execution. Results are bit-identical either way.
+/// certified execution. Results are bit-identical either way.
 ///
 /// The executor owns a persistent pool of [`Workspace`]s that survives
 /// across `run` calls (and is shared by clones), so the steady-state
@@ -256,7 +248,6 @@ pub struct PoolStats {
 #[derive(Clone, Debug)]
 pub struct ParallelExecutor {
     threads: usize,
-    policy: DispatchPolicy,
     numeric: NumericMode,
     pool: Arc<Mutex<Vec<Workspace>>>,
 }
@@ -265,9 +256,7 @@ impl PartialEq for ParallelExecutor {
     /// Configuration equality only — the workspace pool is a cache and
     /// never affects behavior.
     fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-            && self.policy == other.policy
-            && self.numeric == other.numeric
+        self.threads == other.threads && self.numeric == other.numeric
     }
 }
 
@@ -285,26 +274,9 @@ impl ParallelExecutor {
         let pool = (0..threads).map(|_| Workspace::new()).collect();
         ParallelExecutor {
             threads,
-            policy: DispatchPolicy::default(),
             numeric: NumericMode::default(),
             pool: Arc::new(Mutex::new(pool)),
         }
-    }
-
-    /// Same executor with the given dispatch policy.
-    pub fn with_policy(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Overrides the dispatch policy in place.
-    pub fn set_policy(&mut self, policy: DispatchPolicy) {
-        self.policy = policy;
-    }
-
-    /// The configured dispatch policy.
-    pub fn policy(&self) -> DispatchPolicy {
-        self.policy
     }
 
     /// Same executor with the given numeric mode for its workers' kernels.
@@ -331,9 +303,7 @@ impl ParallelExecutor {
     }
 
     /// Reads the worker count from the `SUPERNOVA_THREADS` environment
-    /// variable, falling back to the host's available parallelism, the
-    /// dispatch policy from `SUPERNOVA_DISPATCH` (`depcount` forces
-    /// dependency counting; anything else keeps the `Auto` default), and
+    /// variable, falling back to the host's available parallelism, and
     /// the numeric mode from [`supernova_linalg::NUMERIC_ENV`]
     /// (`f64`/`f32`/`f32f64`; unset or unrecognized means f64).
     pub fn from_env() -> Self {
@@ -346,13 +316,7 @@ impl ParallelExecutor {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let policy = match std::env::var("SUPERNOVA_DISPATCH").as_deref() {
-            Ok("depcount") => DispatchPolicy::DepCounted,
-            _ => DispatchPolicy::Auto,
-        };
-        ParallelExecutor::new(threads)
-            .with_policy(policy)
-            .with_numeric(NumericMode::from_env())
+        ParallelExecutor::new(threads).with_numeric(NumericMode::from_env())
     }
 
     /// The configured worker count.
@@ -422,84 +386,37 @@ impl Default for ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    /// Runs the plan's tasks flagged in `recompute`, calling `task_fn`
-    /// exactly once per flagged task after all its flagged children have
-    /// completed. `task_fn` publishes each task's result itself (the
+    /// Runs the plan's tasks flagged in `recompute` and records the
+    /// [`HostSchedule`]. The callbacks publish each result themselves (the
     /// numeric layer uses a `OnceLock` slot per node), so the executor
-    /// only sequences work and records the [`HostSchedule`].
+    /// only sequences work.
     ///
-    /// On error, in-flight tasks finish, no new tasks start, and the
-    /// error from the lowest-numbered failing task is returned.
-    pub fn run<E, F>(
-        &self,
-        plan: &ExecutionPlan,
-        recompute: &[bool],
-        task_fn: F,
-    ) -> (Result<(), E>, HostSchedule)
-    where
-        E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    {
-        self.run_certified(plan, recompute, None, task_fn)
-    }
-
-    /// [`run`](Self::run), but with an optional level-safety proof. When
-    /// `cert` [covers](PlanCertificate::covers) `plan` and the policy is
-    /// [`DispatchPolicy::Auto`], multi-threaded executions use the
-    /// lock-free level-batched dispatcher; otherwise the dependency-counted
-    /// pool runs exactly as before. Results are bit-identical on every
-    /// path — the certificate only changes *when* independent tasks run,
-    /// never their inputs.
-    pub fn run_certified<E, F>(
-        &self,
-        plan: &ExecutionPlan,
-        recompute: &[bool],
-        cert: Option<&PlanCertificate>,
-        task_fn: F,
-    ) -> (Result<(), E>, HostSchedule)
-    where
-        E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    {
-        assert_eq!(recompute.len(), plan.num_tasks());
-        self.prepare(plan);
-        let total: usize = recompute.iter().filter(|&&r| r).count();
-        if self.threads <= 1 || total <= 1 {
-            return run_serial(self, plan, recompute, &task_fn);
-        }
-        let certified = self.policy == DispatchPolicy::Auto && cert.is_some_and(|c| c.covers(plan));
-        if certified {
-            return run_batched(self, plan, recompute, &task_fn, self.threads);
-        }
-        run_pool(self, plan, recompute, &task_fn, self.threads)
-    }
-
-    /// [`run_certified`](Self::run_certified) at *sub-unit* granularity:
-    /// when the plan carries a split overlay ([`ExecutionPlan::has_units`])
-    /// split tasks execute as their panel/tile sub-units via `unit_fn`
-    /// (called with a unit id from [`ExecutionPlan::units`]), while unsplit
-    /// tasks still run whole through `task_fn`.
+    /// A plan without a split overlay runs every flagged task whole
+    /// through `task_fn`. A plan with one ([`ExecutionPlan::has_units`])
+    /// runs every flagged task as its units: `Whole` units through
+    /// `task_fn` (called with the task id) and sub-units through `unit_fn`
+    /// (called with a unit id from [`ExecutionPlan::units`]). Either way
+    /// each executed item is one [`TaskSpan`], so the span structure does
+    /// not depend on the thread count.
     ///
-    /// Dispatch selection mirrors `run_certified`:
+    /// Dispatch:
     ///
-    /// - **serial** executions walk the postorder and run each split
-    ///   task's units in canonical order — one [`TaskSpan`] per unit, so
-    ///   the span structure is identical to a unit-granular parallel run
-    ///   (the trace thread-invariance guarantee);
-    /// - **certified** multi-threaded executions ([`DispatchPolicy::Auto`]
-    ///   with a covering certificate) dispatch the plan's
-    ///   [`unit_levels`](ExecutionPlan::unit_levels) through the
-    ///   level-batched pool, with a low-latency spin-then-park barrier
-    ///   between sub-levels (sub-levels are ~`2×panels` more frequent than
-    ///   task levels, so barrier latency is on the critical path);
-    /// - **uncertified** multi-threaded executions fall back to the
-    ///   dependency-counted pool at whole-task granularity (`task_fn` for
-    ///   every task) — the split overlay's intra-task happens-before is
-    ///   proven by the same certificate that gates batching, so without it
-    ///   the executor does not interleave sub-units across workers.
+    /// - **serial** ([`DispatchMode::Serial`]): plan postorder on the
+    ///   calling thread, canonical unit order within each task. Used when
+    ///   the executor has one thread, when at most one task is flagged,
+    ///   and when `cert` is missing or does not
+    ///   [cover](PlanCertificate::covers) `plan` — without the proof the
+    ///   executor never runs work concurrently.
+    /// - **level-batched** ([`DispatchMode::LevelBatched`]) otherwise: the
+    ///   plan's [`levels`](ExecutionPlan::levels) (or
+    ///   [`unit_levels`](ExecutionPlan::unit_levels) with a split overlay)
+    ///   in order on a scoped worker pool, with a barrier between levels.
     ///
-    /// Plans without units delegate to `run_certified` unchanged.
-    pub fn run_certified_units<E, F, G>(
+    /// Results are bit-identical on both paths: the certificate only
+    /// changes *when* independent work runs, never its inputs. On error,
+    /// in-flight work finishes, no new work starts, and the error from the
+    /// lowest-numbered failing task is returned.
+    pub fn run<E, F, G>(
         &self,
         plan: &ExecutionPlan,
         recompute: &[bool],
@@ -512,20 +429,16 @@ impl ParallelExecutor {
         F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
         G: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
     {
-        if !plan.has_units() {
-            return self.run_certified(plan, recompute, cert, task_fn);
-        }
         assert_eq!(recompute.len(), plan.num_tasks());
         self.prepare(plan);
         let total: usize = recompute.iter().filter(|&&r| r).count();
-        if self.threads <= 1 || total <= 1 {
-            return run_serial_units(self, plan, recompute, &task_fn, &unit_fn);
+        // The coverage check re-derives the plan fingerprint, so it only
+        // runs when the answer matters.
+        if self.threads > 1 && total > 1 && cert.is_some_and(|c| c.covers(plan)) {
+            run_batched(self, plan, recompute, &task_fn, &unit_fn)
+        } else {
+            run_serial(self, plan, recompute, &task_fn, &unit_fn)
         }
-        let certified = self.policy == DispatchPolicy::Auto && cert.is_some_and(|c| c.covers(plan));
-        if certified {
-            return run_batched_units(self, plan, recompute, &task_fn, &unit_fn, self.threads);
-        }
-        run_pool(self, plan, recompute, &task_fn, self.threads)
     }
 
     /// Grows every pooled workspace to `plan`'s bounds before any worker
@@ -545,61 +458,63 @@ impl ParallelExecutor {
     }
 }
 
-/// Inline execution on the calling thread, in plan postorder.
-fn run_serial<E, F>(
-    exec: &ParallelExecutor,
-    plan: &ExecutionPlan,
-    recompute: &[bool],
-    task_fn: &F,
-) -> (Result<(), E>, HostSchedule)
-where
-    F: Fn(usize, &mut Workspace) -> Result<(), E>,
-{
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let mut ws = exec.checkout(plan);
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut spans = Vec::new();
-    let mut err = None;
-    for &s in plan.postorder() {
-        if !recompute[s] {
-            continue;
+/// One execution's callbacks and clock. Both dispatchers hand it *items*:
+/// task ids for a plan without a split overlay, unit ids for a plan with
+/// one.
+struct Work<'a, F, G> {
+    plan: &'a ExecutionPlan,
+    task_fn: &'a F,
+    unit_fn: &'a G,
+    origin: Instant,
+}
+
+impl<F, G> Work<'_, F, G> {
+    /// The task `item` belongs to, and whether it is a split sub-unit
+    /// (run through `unit_fn`) rather than a whole task.
+    fn resolve(&self, item: usize) -> (usize, bool) {
+        if self.plan.has_units() {
+            let unit = &self.plan.units()[item];
+            (unit.task, unit.kind != UnitKind::Whole)
+        } else {
+            (item, false)
         }
-        let start = origin.elapsed().as_secs_f64();
-        let res = task_fn(s, &mut ws);
-        let end = origin.elapsed().as_secs_f64();
+    }
+
+    /// Runs `item` on `worker` and appends its span. Returns the item's
+    /// task, whether it was a sub-unit, and the callback's result.
+    fn run<E>(
+        &self,
+        item: usize,
+        worker: usize,
+        ws: &mut Workspace,
+        spans: &mut Vec<TaskSpan>,
+    ) -> (usize, bool, Result<(), E>)
+    where
+        F: Fn(usize, &mut Workspace) -> Result<(), E>,
+        G: Fn(usize, &mut Workspace) -> Result<(), E>,
+    {
+        let (task, sub) = self.resolve(item);
+        let start = self.origin.elapsed().as_secs_f64();
+        let res = if sub {
+            (self.unit_fn)(item, ws)
+        } else {
+            (self.task_fn)(task, ws)
+        };
+        let end = self.origin.elapsed().as_secs_f64();
         spans.push(TaskSpan {
-            node: s,
-            worker: 0,
+            node: task,
+            worker,
             start,
             end,
             kernel_flops: ws.scratch_mut().take_flops(),
         });
-        if let Err(e) = res {
-            err = Some(e);
-            break;
-        }
-    }
-    exec.checkin(ws);
-    let sched = HostSchedule {
-        spans,
-        workers: 1,
-        origin: epoch,
-        mode: DispatchMode::Serial,
-        numeric: exec.numeric,
-        split_units: 0,
-    };
-    match err {
-        Some(e) => (Err(e), sched),
-        None => (Ok(()), sched),
+        (task, sub, res)
     }
 }
 
-/// Inline unit-granular execution on the calling thread: plan postorder
-/// over tasks, canonical unit order within each split task. Span structure
-/// (one span per executed unit / whole task) matches the unit-batched
-/// parallel path exactly.
-fn run_serial_units<E, F, G>(
+/// Inline execution on the calling thread: plan postorder over tasks and,
+/// with a split overlay, canonical unit order within each task.
+fn run_serial<E, F, G>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
     recompute: &[bool],
@@ -611,7 +526,12 @@ where
     G: Fn(usize, &mut Workspace) -> Result<(), E>,
 {
     let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
+    let work = Work {
+        plan,
+        task_fn,
+        unit_fn,
+        origin: Instant::now(),
+    };
     let mut ws = exec.checkout(plan);
     // lint: allow(hot-alloc) — per-execution schedule record, not the task path
     let mut spans = Vec::new();
@@ -621,26 +541,14 @@ where
         if !recompute[s] {
             continue;
         }
-        let (lo, hi) = plan.task_units_range(s);
-        for uid in lo..hi {
-            let whole = plan.units()[uid].kind == crate::plan::UnitKind::Whole;
-            let start = origin.elapsed().as_secs_f64();
-            let res = if whole {
-                task_fn(s, &mut ws)
-            } else {
-                unit_fn(uid, &mut ws)
-            };
-            let end = origin.elapsed().as_secs_f64();
-            spans.push(TaskSpan {
-                node: s,
-                worker: 0,
-                start,
-                end,
-                kernel_flops: ws.scratch_mut().take_flops(),
-            });
-            if !whole {
-                split_units += 1;
-            }
+        let (lo, hi) = if plan.has_units() {
+            plan.task_units_range(s)
+        } else {
+            (s, s + 1)
+        };
+        for item in lo..hi {
+            let (_, sub, res) = work.run(item, 0, &mut ws, &mut spans);
+            split_units += usize::from(sub);
             if let Err(e) = res {
                 err = Some(e);
                 break 'tasks;
@@ -656,16 +564,14 @@ where
         numeric: exec.numeric,
         split_units,
     };
-    match err {
-        Some(e) => (Err(e), sched),
-        None => (Ok(()), sched),
-    }
+    (err.map_or(Ok(()), Err), sched)
 }
 
 /// A sense-reversing barrier that spins briefly before parking on a
-/// condvar. `std::sync::Barrier` always takes its mutex; with sub-level
-/// dispatch there are ~`2×panels` barriers per task level, so the
-/// microseconds each crossing costs sit directly on the critical path.
+/// condvar. `std::sync::Barrier` always takes its mutex; a batched
+/// execution crosses one barrier per level — with a split overlay,
+/// ~`2×panels` sub-levels per task level — so the microseconds each
+/// crossing costs sit directly on the critical path.
 /// Workers spin for a short budget (the common case: the level's last
 /// task finishes within it) and only then fall back to blocking — so an
 /// idle machine still sleeps instead of burning a core. When the pool
@@ -746,349 +652,74 @@ impl SpinBarrier {
     }
 }
 
-/// Sub-level-batched worker-pool execution for certified split plans: one
-/// atomic claim cursor per *sub-level* and a [`SpinBarrier`] between
-/// sub-levels. The unit-extended [`PlanCertificate`] proves same-sub-level
-/// units access-disjoint (tile rectangles) and every panel→update edge
-/// ordered by the sub-level barrier, so any intra-sub-level interleaving
-/// computes identical bits — the unit-granular analogue of
-/// [`run_batched`]'s task-level argument.
-fn run_batched_units<E, F, G>(
+/// Level-batched worker-pool execution for certified plans: one atomic
+/// claim cursor per level and a [`SpinBarrier`] between levels. Levels are
+/// the plan's topological task levels, or its unit sub-levels when it has
+/// a split overlay.
+///
+/// Inside a level there is no ordering at all — the [`PlanCertificate`]
+/// proves same-level items access-disjoint (whole tasks, or the tile
+/// rectangles of split fronts), so any interleaving computes identical
+/// bits. *Between* levels the barrier provides the happens-before edge
+/// every cross-level read needs (a parent consuming a child's published
+/// update matrix, a tile consuming its panel): a worker passes the
+/// level-`k` barrier only after every level-`k` item has completed and
+/// published. Levels with nothing to recompute are skipped outright.
+///
+/// The task path holds no locks: claiming an item is one `fetch_add` on
+/// the level cursor. On error the abort flag stops further claims, but
+/// every worker still reaches every barrier so nobody deadlocks.
+fn run_batched<E, F, G>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
     recompute: &[bool],
     task_fn: &F,
     unit_fn: &G,
-    threads: usize,
 ) -> (Result<(), E>, HostSchedule)
 where
     E: Send,
     F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
     G: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
 {
-    // Per-sub-level worklists of units of recomputed tasks, ascending unit
-    // id so claim order is deterministic given claim timing.
+    let epoch = supernova_trace::epoch_seconds();
+    let work = Work {
+        plan,
+        task_fn,
+        unit_fn,
+        origin: Instant::now(),
+    };
+    let source = if plan.has_units() {
+        plan.unit_levels()
+    } else {
+        plan.levels()
+    };
+    // Per-level worklists of recomputed items, ascending id so claim order
+    // is deterministic given claim timing.
     // lint: allow(hot-alloc) — per-execution dispatch tables, not the task path
-    let sublevels: Vec<Vec<usize>> = plan
-        .unit_levels()
+    let levels: Vec<Vec<usize>> = source
         .iter()
         .map(|members| {
             let mut v: Vec<usize> = members
                 .iter()
                 .copied()
-                .filter(|&u| recompute[plan.units()[u].task])
+                .filter(|&item| recompute[work.resolve(item).0])
                 .collect();
             v.sort_unstable();
             v
         })
+        .filter(|v| !v.is_empty())
         .collect();
-    let total_units: usize = sublevels.iter().map(Vec::len).sum();
-    let cursors: Vec<AtomicUsize> = sublevels.iter().map(|_| AtomicUsize::new(0)).collect();
-    let abort = AtomicBool::new(false);
-    // lint: allow(hot-alloc) — per-execution error collector, not the task path
-    let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let nworkers = threads.min(total_units.max(1));
-    let barrier = SpinBarrier::new(nworkers);
-    let split_units = AtomicUsize::new(0);
-
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total_units);
-    std::thread::scope(|scope| {
-        // lint: allow(hot-alloc) — per-execution worker handles, not the task path
-        let mut handles = Vec::with_capacity(nworkers);
-        for worker in 0..nworkers {
-            let sublevels = &sublevels;
-            let cursors = &cursors;
-            let abort = &abort;
-            let errors = &errors;
-            let barrier = &barrier;
-            let split_units = &split_units;
-            handles.push(scope.spawn(move || {
-                let mut ws = exec.checkout(plan);
-                // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-                let mut spans: Vec<TaskSpan> = Vec::new();
-                for (sub, members) in sublevels.iter().enumerate() {
-                    loop {
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let idx = cursors[sub].fetch_add(1, Ordering::AcqRel);
-                        let Some(&uid) = members.get(idx) else {
-                            break;
-                        };
-                        let unit = &plan.units()[uid];
-                        let whole = unit.kind == crate::plan::UnitKind::Whole;
-                        let start = origin.elapsed().as_secs_f64();
-                        let res = if whole {
-                            task_fn(unit.task, &mut ws)
-                        } else {
-                            unit_fn(uid, &mut ws)
-                        };
-                        let end = origin.elapsed().as_secs_f64();
-                        spans.push(TaskSpan {
-                            node: unit.task,
-                            worker,
-                            start,
-                            end,
-                            kernel_flops: ws.scratch_mut().take_flops(),
-                        });
-                        if !whole {
-                            split_units.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if let Err(e) = res {
-                            // lint: allow(unwrap) — poisoning needs a prior worker panic
-                            errors.lock().unwrap().push((unit.task, e));
-                            abort.store(true, Ordering::Release);
-                        }
-                    }
-                    // Every worker reaches every barrier — including after
-                    // an abort — so no one is left waiting.
-                    barrier.wait();
-                }
-                exec.checkin(ws);
-                spans
-            }));
-        }
-        for h in handles {
-            if let Ok(spans) = h.join() {
-                all_spans.extend(spans);
-            }
-        }
-    });
-
-    all_spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    let sched = HostSchedule {
-        spans: all_spans,
-        workers: nworkers,
-        origin: epoch,
-        mode: DispatchMode::LevelBatched,
-        numeric: exec.numeric,
-        split_units: split_units.into_inner(),
-    };
-    let mut errs = errors.into_inner().unwrap_or_default();
-    if errs.is_empty() {
-        (Ok(()), sched)
-    } else {
-        errs.sort_by_key(|&(t, _)| t);
-        let (_, e) = errs.swap_remove(0);
-        (Err(e), sched)
-    }
-}
-
-/// Shared pool state: the ready queue plus progress/abort flags.
-struct PoolState {
-    ready: Mutex<Vec<usize>>,
-    cv: Condvar,
-    remaining: AtomicUsize,
-    abort: AtomicBool,
-}
-
-/// Scoped worker-pool execution.
-fn run_pool<E, F>(
-    exec: &ParallelExecutor,
-    plan: &ExecutionPlan,
-    recompute: &[bool],
-    task_fn: &F,
-    threads: usize,
-) -> (Result<(), E>, HostSchedule)
-where
-    E: Send,
-    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-{
-    let tasks = plan.tasks();
-    // Dependency counters over *recomputed* children only: reused children
-    // already have their cached results published.
-    let pending: Vec<AtomicUsize> = tasks
-        .iter()
-        .map(|t| {
-            let n = t.merges.iter().filter(|m| recompute[m.child]).count();
-            AtomicUsize::new(n)
-        })
-        .collect();
-    let initial: Vec<usize> = (0..tasks.len())
-        .filter(|&s| recompute[s] && pending[s].load(Ordering::Relaxed) == 0)
-        .collect();
-    let total: usize = recompute.iter().filter(|&&r| r).count();
-    let state = PoolState {
-        ready: Mutex::new(initial),
-        cv: Condvar::new(),
-        remaining: AtomicUsize::new(total),
-        abort: AtomicBool::new(false),
-    };
-    // lint: allow(hot-alloc) — per-execution error collector, not the task path
-    let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let nworkers = threads.min(total.max(1));
-
-    // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-    let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total);
-    std::thread::scope(|scope| {
-        // lint: allow(hot-alloc) — per-execution worker handles, not the task path
-        let mut handles = Vec::with_capacity(nworkers);
-        for worker in 0..nworkers {
-            let state = &state;
-            let errors = &errors;
-            let pending = &pending;
-            handles.push(scope.spawn(move || {
-                let mut ws = exec.checkout(plan);
-                // lint: allow(hot-alloc) — per-execution schedule record, not the task path
-                let mut spans: Vec<TaskSpan> = Vec::new();
-                loop {
-                    let task = {
-                        // Poisoning requires a worker panic, which
-                        // aborts the whole scope anyway.
-                        let mut q = state.ready.lock().unwrap(); // lint: allow(unwrap)
-                        let picked = loop {
-                            if state.abort.load(Ordering::Acquire)
-                                || state.remaining.load(Ordering::Acquire) == 0
-                            {
-                                break None;
-                            }
-                            if let Some(pos) = q
-                                .iter()
-                                .enumerate()
-                                .min_by_key(|&(_, &t)| t)
-                                .map(|(i, _)| i)
-                            {
-                                break Some(q.swap_remove(pos));
-                            }
-                            // lint: allow(unwrap) — same poisoning argument
-                            q = state.cv.wait(q).unwrap();
-                        };
-                        match picked {
-                            Some(t) => t,
-                            None => {
-                                drop(q);
-                                exec.checkin(ws);
-                                return spans;
-                            }
-                        }
-                    };
-                    let start = origin.elapsed().as_secs_f64();
-                    let res = task_fn(task, &mut ws);
-                    let end = origin.elapsed().as_secs_f64();
-                    spans.push(TaskSpan {
-                        node: task,
-                        worker,
-                        start,
-                        end,
-                        kernel_flops: ws.scratch_mut().take_flops(),
-                    });
-                    match res {
-                        Ok(()) => {
-                            if state.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                state.cv.notify_all();
-                                exec.checkin(ws);
-                                return spans;
-                            }
-                            let parent = plan.tasks()[task].parent;
-                            if let Some(p) = parent.filter(|&p| recompute[p]) {
-                                if pending[p].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    // lint: allow(unwrap) — poisoning as above
-                                    state.ready.lock().unwrap().push(p);
-                                    state.cv.notify_one();
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // lint: allow(unwrap) — poisoning as above
-                            errors.lock().unwrap().push((task, e));
-                            state.abort.store(true, Ordering::Release);
-                            state.cv.notify_all();
-                            exec.checkin(ws);
-                            return spans;
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            if let Ok(spans) = h.join() {
-                all_spans.extend(spans);
-            }
-        }
-    });
-
-    all_spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.node.cmp(&b.node))
-    });
-    let sched = HostSchedule {
-        spans: all_spans,
-        workers: nworkers,
-        origin: epoch,
-        mode: DispatchMode::DepCounted,
-        numeric: exec.numeric,
-        split_units: 0,
-    };
-    let mut errs = errors.into_inner().unwrap_or_default();
-    if errs.is_empty() {
-        (Ok(()), sched)
-    } else {
-        errs.sort_by_key(|&(t, _)| t);
-        let (_, e) = errs.swap_remove(0);
-        (Err(e), sched)
-    }
-}
-
-/// Level-batched worker-pool execution for certified plans: one atomic
-/// claim cursor per topological level and a [`Barrier`] between levels.
-///
-/// Inside a level there is no ordering at all — the [`PlanCertificate`]
-/// proves intra-level tasks access-disjoint, so any interleaving computes
-/// identical bits. *Between* levels the barrier provides the
-/// happens-before edge every cross-level read (a parent consuming a
-/// child's published update matrix) needs: a worker passes the level-`k`
-/// barrier only after every level-`k` task has completed and published.
-///
-/// The task path holds no locks: claiming a task is one `fetch_add` on the
-/// level cursor. On error the abort flag stops further claims, but every
-/// worker still reaches every barrier so nobody deadlocks.
-fn run_batched<E, F>(
-    exec: &ParallelExecutor,
-    plan: &ExecutionPlan,
-    recompute: &[bool],
-    task_fn: &F,
-    threads: usize,
-) -> (Result<(), E>, HostSchedule)
-where
-    E: Send,
-    F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-{
-    let total: usize = recompute.iter().filter(|&&r| r).count();
-    // Per-level worklists of recomputed tasks, ascending task id so claim
-    // order is deterministic given claim timing.
-    // lint: allow(hot-alloc) — per-execution dispatch tables, not the task path
-    let levels: Vec<Vec<usize>> = plan
-        .levels()
-        .iter()
-        .map(|members| {
-            let mut v: Vec<usize> = members.iter().copied().filter(|&s| recompute[s]).collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
+    let total: usize = levels.iter().map(Vec::len).sum();
     let cursors: Vec<AtomicUsize> = levels.iter().map(|_| AtomicUsize::new(0)).collect();
     let abort = AtomicBool::new(false);
     // lint: allow(hot-alloc) — per-execution error collector, not the task path
     let errors: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-    let epoch = supernova_trace::epoch_seconds();
-    let origin = Instant::now();
-    let nworkers = threads.min(total.max(1));
-    let barrier = Barrier::new(nworkers);
+    let nworkers = exec.threads.min(total.max(1));
+    let barrier = SpinBarrier::new(nworkers);
 
     // lint: allow(hot-alloc) — per-execution schedule record, not the task path
     let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total);
+    let mut split_units = 0usize;
     std::thread::scope(|scope| {
         // lint: allow(hot-alloc) — per-execution worker handles, not the task path
         let mut handles = Vec::with_capacity(nworkers);
@@ -1098,29 +729,20 @@ where
             let abort = &abort;
             let errors = &errors;
             let barrier = &barrier;
+            let work = &work;
             handles.push(scope.spawn(move || {
                 let mut ws = exec.checkout(plan);
                 // lint: allow(hot-alloc) — per-execution schedule record, not the task path
                 let mut spans: Vec<TaskSpan> = Vec::new();
+                let mut subs = 0usize;
                 for (lvl, members) in levels.iter().enumerate() {
-                    loop {
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
+                    while !abort.load(Ordering::Acquire) {
                         let idx = cursors[lvl].fetch_add(1, Ordering::AcqRel);
-                        let Some(&task) = members.get(idx) else {
+                        let Some(&item) = members.get(idx) else {
                             break;
                         };
-                        let start = origin.elapsed().as_secs_f64();
-                        let res = task_fn(task, &mut ws);
-                        let end = origin.elapsed().as_secs_f64();
-                        spans.push(TaskSpan {
-                            node: task,
-                            worker,
-                            start,
-                            end,
-                            kernel_flops: ws.scratch_mut().take_flops(),
-                        });
+                        let (task, sub, res) = work.run(item, worker, &mut ws, &mut spans);
+                        subs += usize::from(sub);
                         if let Err(e) = res {
                             // lint: allow(unwrap) — poisoning needs a prior worker panic
                             errors.lock().unwrap().push((task, e));
@@ -1132,12 +754,13 @@ where
                     barrier.wait();
                 }
                 exec.checkin(ws);
-                spans
+                (spans, subs)
             }));
         }
         for h in handles {
-            if let Ok(spans) = h.join() {
+            if let Ok((spans, subs)) = h.join() {
                 all_spans.extend(spans);
+                split_units += subs;
             }
         }
     });
@@ -1154,7 +777,7 @@ where
         origin: epoch,
         mode: DispatchMode::LevelBatched,
         numeric: exec.numeric,
-        split_units: 0,
+        split_units,
     };
     let mut errs = errors.into_inner().unwrap_or_default();
     if errs.is_empty() {
@@ -1169,9 +792,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interference::certify;
     use crate::{BlockPattern, SymbolicFactor};
     use std::sync::atomic::AtomicU64;
 
+    /// A chain of `n` blocks: one task per level.
     fn plan_of(n: usize) -> ExecutionPlan {
         let mut p = BlockPattern::new(vec![2; n]);
         for i in 0..n - 1 {
@@ -1180,90 +805,211 @@ mod tests {
         ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
     }
 
+    /// `n` leaf blocks all coupled to one root: `n` tasks share a level.
+    fn fan_plan(n: usize) -> ExecutionPlan {
+        let mut p = BlockPattern::new(vec![2; n + 1]);
+        for i in 0..n {
+            p.add_block_edge(i, n);
+        }
+        ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
+    }
+
+    /// [`ParallelExecutor::run`] on a plan without a split overlay, with
+    /// the plan's own certificate so multi-threaded executors batch.
+    fn run_tasks<E, F>(
+        exec: &ParallelExecutor,
+        plan: &ExecutionPlan,
+        recompute: &[bool],
+        task_fn: F,
+    ) -> (Result<(), E>, HostSchedule)
+    where
+        E: Send,
+        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
+    {
+        assert!(!plan.has_units());
+        let cert = certify(plan).expect("test plan certifies");
+        exec.run(plan, recompute, Some(&cert), task_fn, |u, _ws| {
+            panic!("unit {u} dispatched for a plan without units")
+        })
+    }
+
+    fn expected_mode(threads: usize) -> DispatchMode {
+        if threads == 1 {
+            DispatchMode::Serial
+        } else {
+            DispatchMode::LevelBatched
+        }
+    }
+
     #[test]
     fn serial_and_pool_run_every_task_once() {
-        let plan = plan_of(24);
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [1usize, 2, 4] {
-            let counts: Vec<AtomicUsize> =
-                (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) =
-                ParallelExecutor::new(threads).run::<(), _>(&plan, &recompute, |s, _ws| {
+        for plan in [plan_of(24), fan_plan(12)] {
+            let recompute = vec![true; plan.num_tasks()];
+            for threads in [1usize, 2, 4] {
+                let counts: Vec<AtomicUsize> =
+                    (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
+                let exec = ParallelExecutor::new(threads);
+                let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |s, _ws| {
                     counts[s].fetch_add(1, Ordering::SeqCst);
                     Ok(())
                 });
-            assert!(res.is_ok());
-            assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-            assert_eq!(sched.spans.len(), plan.num_tasks());
-            assert!(sched.workers >= 1 && sched.workers <= threads);
+                assert!(res.is_ok());
+                assert_eq!(sched.mode, expected_mode(threads));
+                assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+                assert_eq!(sched.spans.len(), plan.num_tasks());
+                assert!(sched.workers >= 1 && sched.workers <= threads);
+            }
         }
     }
 
     #[test]
     fn children_complete_before_parents_start() {
-        let plan = plan_of(16);
-        let recompute = vec![true; plan.num_tasks()];
-        // A shared logical clock: each task records (start_tick, end_tick).
-        let clock = AtomicU64::new(0);
-        let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_tasks())
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect();
-        let (res, _) = ParallelExecutor::new(3).run::<(), _>(&plan, &recompute, |s, _ws| {
-            marks[s]
-                .0
-                .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-            marks[s]
-                .1
-                .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-            Ok(())
-        });
-        assert!(res.is_ok());
-        for task in plan.tasks() {
-            for mg in &task.merges {
-                let child_end = marks[mg.child].1.load(Ordering::SeqCst);
-                let parent_start = marks[task.node].0.load(Ordering::SeqCst);
-                assert!(
-                    child_end < parent_start,
-                    "child {} overlapped parent {}",
-                    mg.child,
-                    task.node
-                );
+        for plan in [plan_of(16), fan_plan(8)] {
+            let recompute = vec![true; plan.num_tasks()];
+            // A shared logical clock: each task records (start_tick, end_tick).
+            let clock = AtomicU64::new(0);
+            let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_tasks())
+                .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
+                .collect();
+            let exec = ParallelExecutor::new(3);
+            let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |s, _ws| {
+                marks[s]
+                    .0
+                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                marks[s]
+                    .1
+                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                Ok(())
+            });
+            assert!(res.is_ok());
+            assert_eq!(sched.mode, DispatchMode::LevelBatched);
+            for task in plan.tasks() {
+                for mg in &task.merges {
+                    let child_end = marks[mg.child].1.load(Ordering::SeqCst);
+                    let parent_start = marks[task.node].0.load(Ordering::SeqCst);
+                    assert!(
+                        child_end < parent_start,
+                        "child {} overlapped parent {}",
+                        mg.child,
+                        task.node
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn skips_non_recomputed_tasks() {
-        let plan = plan_of(8);
-        let mut recompute = vec![false; plan.num_tasks()];
-        // Only the root subtree tail.
+        let plan = plan_of(10);
+        let n = plan.num_tasks();
+        // Only the root (a single task runs inline), and an upper slice of
+        // the tree so some levels are empty (batched).
         let tail = *plan.postorder().last().expect("nonempty"); // lint: allow(unwrap)
-        recompute[tail] = true;
-        let ran = AtomicUsize::new(0);
-        let (res, sched) = ParallelExecutor::new(4).run::<(), _>(&plan, &recompute, |_s, _ws| {
-            ran.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        });
-        assert!(res.is_ok());
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
-        assert_eq!(sched.spans.len(), 1);
+        let mut only_tail = vec![false; n];
+        only_tail[tail] = true;
+        let upper: Vec<bool> = (0..n).map(|s| s >= n / 2).collect();
+        for (recompute, mode) in [
+            (only_tail, DispatchMode::Serial),
+            (upper, DispatchMode::LevelBatched),
+        ] {
+            let want = recompute.iter().filter(|&&r| r).count();
+            let ran = AtomicUsize::new(0);
+            let exec = ParallelExecutor::new(4);
+            let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |s, _ws| {
+                assert!(recompute[s], "task {s} was not flagged");
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+            assert!(res.is_ok());
+            assert_eq!(sched.mode, mode);
+            assert_eq!(ran.load(Ordering::SeqCst), want);
+            assert_eq!(sched.spans.len(), want);
+        }
     }
 
     #[test]
     fn error_reported_from_lowest_failing_task() {
         let plan = plan_of(12);
         let recompute = vec![true; plan.num_tasks()];
-        for threads in [1usize, 4] {
-            let (res, _) =
-                ParallelExecutor::new(threads).run::<usize, _>(&plan, &recompute, |s, _ws| {
-                    if s == 0 {
-                        Err(s)
-                    } else {
-                        Ok(())
-                    }
-                });
+        for threads in [1usize, 2, 4] {
+            let exec = ParallelExecutor::new(threads);
+            let (res, sched) = run_tasks::<usize, _>(&exec, &plan, &recompute, |s, _ws| {
+                if s == 0 {
+                    Err(s)
+                } else {
+                    Ok(())
+                }
+            });
             assert_eq!(res, Err(0));
+            assert_eq!(sched.mode, expected_mode(threads));
         }
+    }
+
+    #[test]
+    fn unsplit_plan_runs_whole_tasks_through_the_batched_path() {
+        let plan = fan_plan(9);
+        assert!(!plan.has_units());
+        let cert = certify(&plan).expect("certifies");
+        let recompute = vec![true; plan.num_tasks()];
+        let units_called = AtomicUsize::new(0);
+        let unit_fn = |_u: usize, _ws: &mut Workspace| -> Result<(), usize> {
+            units_called.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        };
+        // Leaves 2 and 5 fail; the root never starts.
+        let root = *plan.postorder().last().expect("nonempty"); // lint: allow(unwrap)
+        let failing = |s: usize| s == 2 || s == 5;
+        let task_fn = |s: usize, _ws: &mut Workspace| if failing(s) { Err(s) } else { Ok(()) };
+        let (serial_res, serial) =
+            ParallelExecutor::serial().run(&plan, &recompute, Some(&cert), task_fn, unit_fn);
+        assert_eq!(serial_res, Err(2));
+        for threads in [2usize, 4] {
+            let exec = ParallelExecutor::new(threads);
+            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), task_fn, unit_fn);
+            assert_eq!(res, serial_res, "{threads} threads");
+            assert_eq!(sched.mode, DispatchMode::LevelBatched);
+            assert_eq!(sched.split_units, 0);
+            assert!(sched.spans.iter().all(|sp| sp.node != root));
+            // Clean run: one whole-task span per task, as serial.
+            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()), unit_fn);
+            assert!(res.is_ok());
+            assert_eq!(sched.mode, DispatchMode::LevelBatched);
+            assert!(sched.workers > 1);
+            assert_eq!(sched.split_units, 0);
+            let mut nodes: Vec<usize> = sched.spans.iter().map(|sp| sp.node).collect();
+            nodes.sort_unstable();
+            assert_eq!(nodes, (0..plan.num_tasks()).collect::<Vec<_>>());
+        }
+        assert!(serial.spans.iter().all(|sp| sp.node != root));
+        assert_eq!(units_called.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn coverage_gate_selects_batching() {
+        let plan = plan_of(12);
+        let cert = certify(&plan).expect("certifies");
+        let foreign = certify(&plan_of(5)).expect("certifies");
+        let recompute = vec![true; plan.num_tasks()];
+        let run = |exec: ParallelExecutor, cert: Option<&PlanCertificate>| {
+            exec.run::<(), _, _>(&plan, &recompute, cert, |_s, _ws| Ok(()), |_u, _ws| Ok(()))
+        };
+        // No certificate, or one for a *different* plan: serial on one
+        // worker, never parallel without proof.
+        for cert in [None, Some(&foreign)] {
+            let (res, sched) = run(ParallelExecutor::new(2), cert);
+            assert!(res.is_ok());
+            assert_eq!(sched.mode, DispatchMode::Serial);
+            assert_eq!(sched.workers, 1);
+            assert_eq!(sched.spans.len(), plan.num_tasks());
+        }
+        // A covering certificate batches.
+        let (res, sched) = run(ParallelExecutor::new(2), Some(&cert));
+        assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::LevelBatched);
+        // Serial executions are stamped Serial regardless of certificate.
+        let (res, sched) = run(ParallelExecutor::serial(), Some(&cert));
+        assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::Serial);
     }
 
     #[test]
@@ -1274,7 +1020,7 @@ mod tests {
 
     #[test]
     fn workspace_pool_persists_and_stops_growing() {
-        let plan = plan_of(20);
+        let plan = fan_plan(20);
         let recompute = vec![true; plan.num_tasks()];
         for threads in [1usize, 3] {
             let exec = ParallelExecutor::new(threads);
@@ -1286,21 +1032,27 @@ mod tests {
                     ..PoolStats::default()
                 }
             );
+            // Tasks touch buffers up to the plan's bounds, which `run`
+            // already grew every pooled workspace to before dispatch —
+            // so which worker claims which task cannot decide growth.
+            let pack = plan.max_pack_elems();
+            assert!(pack > 0);
             let task = |_s: usize, ws: &mut Workspace| -> Result<(), ()> {
                 let (front, scratch) = ws.parts();
-                front.reset(6, 6);
-                scratch.reserve(64);
+                front.reset(2, 2);
+                scratch.reserve(pack);
                 Ok(())
             };
-            let (res, _) = exec.run(&plan, &recompute, task);
+            let (res, sched) = run_tasks(&exec, &plan, &recompute, task);
             assert!(res.is_ok());
+            assert_eq!(sched.mode, expected_mode(threads));
             let warm = exec.pool_stats();
             assert_eq!(warm.workspaces, threads);
-            assert!(warm.high_water_elems >= 64);
+            assert!(warm.high_water_elems >= pack);
             // Clones share the same pool; re-running must not grow it.
             let alias = exec.clone();
             for _ in 0..3 {
-                let (res, _) = alias.run(&plan, &recompute, task);
+                let (res, _) = run_tasks(&alias, &plan, &recompute, task);
                 assert!(res.is_ok());
             }
             let steady = exec.pool_stats();
@@ -1312,11 +1064,12 @@ mod tests {
 
     #[test]
     fn kernel_flops_are_recorded_per_span() {
-        let plan = plan_of(6);
+        let plan = fan_plan(6);
         let recompute = vec![true; plan.num_tasks()];
         let exec = ParallelExecutor::new(2);
-        let (res, sched) = exec.run::<(), _>(&plan, &recompute, |_s, _ws| Ok(()));
+        let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |_s, _ws| Ok(()));
         assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::LevelBatched);
         // No kernels ran, so every span meters zero — but the field is
         // present and the schedule total agrees.
         assert!(sched.spans.iter().all(|s| s.kernel_flops == 0));
@@ -1324,169 +1077,18 @@ mod tests {
     }
 
     #[test]
-    fn certified_run_uses_level_batched_dispatch() {
-        let plan = plan_of(24);
-        let cert = crate::interference::certify(&plan).expect("chain plan certifies");
+    fn dispatch_overhead_metrics_are_finite() {
+        let plan = fan_plan(10);
         let recompute = vec![true; plan.num_tasks()];
-        for threads in [2usize, 4] {
-            let counts: Vec<AtomicUsize> =
-                (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) = ParallelExecutor::new(threads).run_certified::<(), _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |s, _ws| {
-                    counts[s].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                },
-            );
-            assert!(res.is_ok());
-            assert_eq!(sched.mode, DispatchMode::LevelBatched);
-            assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-            assert_eq!(sched.spans.len(), plan.num_tasks());
-        }
-    }
-
-    #[test]
-    fn batched_dispatch_orders_children_before_parents() {
-        let plan = plan_of(16);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let clock = AtomicU64::new(0);
-        let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_tasks())
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect();
-        let (res, sched) = ParallelExecutor::new(3).run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |s, _ws| {
-                marks[s]
-                    .0
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                marks[s]
-                    .1
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                Ok(())
-            },
-        );
+        let exec = ParallelExecutor::new(2);
+        let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |_s, _ws| Ok(()));
         assert!(res.is_ok());
         assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        for task in plan.tasks() {
-            for mg in &task.merges {
-                let child_end = marks[mg.child].1.load(Ordering::SeqCst);
-                let parent_start = marks[task.node].0.load(Ordering::SeqCst);
-                assert!(
-                    child_end < parent_start,
-                    "child {} overlapped parent {} under batched dispatch",
-                    mg.child,
-                    task.node
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_policy_and_coverage_gate_batching() {
-        let plan = plan_of(12);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        // DepCounted policy ignores the certificate.
-        let exec = ParallelExecutor::new(2).with_policy(DispatchPolicy::DepCounted);
-        let (res, sched) =
-            exec.run_certified::<(), _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::DepCounted);
-        // No certificate → dep-counted fallback.
-        let (res, sched) =
-            ParallelExecutor::new(2)
-                .run_certified::<(), _>(&plan, &recompute, None, |_s, _ws| Ok(()));
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::DepCounted);
-        // A certificate for a *different* plan must not be trusted.
-        let other = plan_of(5);
-        let foreign = crate::interference::certify(&other).expect("certifies");
-        let (res, sched) = ParallelExecutor::new(2).run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&foreign),
-            |_s, _ws| Ok(()),
-        );
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::DepCounted);
-        // Serial executions are stamped Serial regardless of certificate.
-        let (res, sched) = ParallelExecutor::serial().run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| Ok(()),
-        );
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::Serial);
-    }
-
-    #[test]
-    fn batched_dispatch_propagates_errors_without_deadlock() {
-        let plan = plan_of(12);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        for threads in [2usize, 4] {
-            let (res, _) = ParallelExecutor::new(threads).run_certified::<usize, _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |s, _ws| {
-                    if s == 0 {
-                        Err(s)
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(res, Err(0));
-        }
-    }
-
-    #[test]
-    fn batched_dispatch_skips_non_recomputed_tasks() {
-        let plan = plan_of(10);
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        // Recompute only an upper slice of the tree so some levels are
-        // partially (or entirely) empty.
-        let mut recompute = vec![false; plan.num_tasks()];
-        let n = plan.num_tasks();
-        for s in n / 2..n {
-            recompute[s] = true;
-        }
-        let want: usize = recompute.iter().filter(|&&r| r).count();
-        let ran = AtomicUsize::new(0);
-        let (res, sched) = ParallelExecutor::new(3).run_certified::<(), _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            },
-        );
-        assert!(res.is_ok());
-        assert_eq!(ran.load(Ordering::SeqCst), want);
-        assert_eq!(sched.spans.len(), want);
-    }
-
-    #[test]
-    fn dispatch_overhead_metrics_are_finite() {
-        let plan = plan_of(10);
-        let recompute = vec![true; plan.num_tasks()];
-        let (res, sched) =
-            ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, |_s, _ws| Ok(()));
-        assert!(res.is_ok());
         assert!(sched.dispatch_overhead_s() >= 0.0);
         assert!(sched.dispatch_overhead_per_task_s() >= 0.0);
         assert!(sched.dispatch_overhead_per_task_s().is_finite());
         assert_eq!(HostSchedule::default().dispatch_overhead_per_task_s(), 0.0);
     }
-
     fn split_plan() -> ExecutionPlan {
         let mut p = BlockPattern::new(vec![64, 64, 64]);
         p.add_block_edge(0, 2);
@@ -1501,7 +1103,7 @@ mod tests {
     fn unit_dispatch_runs_each_unit_once_at_every_thread_count() {
         let plan = split_plan();
         assert!(plan.has_units());
-        let cert = crate::interference::certify(&plan).expect("split plan certifies");
+        let cert = certify(&plan).expect("split plan certifies");
         let recompute = vec![true; plan.num_tasks()];
         let whole_tasks: usize = (0..plan.num_tasks())
             .filter(|&s| plan.split_shape(s).is_none())
@@ -1516,7 +1118,7 @@ mod tests {
                 (0..plan.num_units()).map(|_| AtomicUsize::new(0)).collect();
             let task_counts: Vec<AtomicUsize> =
                 (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) = ParallelExecutor::new(threads).run_certified_units::<(), _, _>(
+            let (res, sched) = ParallelExecutor::new(threads).run::<(), _, _>(
                 &plan,
                 &recompute,
                 Some(&cert),
@@ -1558,13 +1160,13 @@ mod tests {
     #[test]
     fn unit_dispatch_orders_panels_before_their_tiles() {
         let plan = split_plan();
-        let cert = crate::interference::certify(&plan).expect("certifies");
+        let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         let clock = AtomicU64::new(0);
         let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_units())
             .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
             .collect();
-        let (res, sched) = ParallelExecutor::new(3).run_certified_units::<(), _, _>(
+        let (res, sched) = ParallelExecutor::new(3).run::<(), _, _>(
             &plan,
             &recompute,
             Some(&cert),
@@ -1610,7 +1212,7 @@ mod tests {
     #[test]
     fn unit_dispatch_propagates_errors_without_deadlock() {
         let plan = split_plan();
-        let cert = crate::interference::certify(&plan).expect("certifies");
+        let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         // Fail a mid-task unit (the first panel of the first split task).
         let bad = plan
@@ -1620,7 +1222,7 @@ mod tests {
             .expect("split plan has a panel");
         let victim = plan.units()[bad].task;
         for threads in [1usize, 2, 4] {
-            let (res, _) = ParallelExecutor::new(threads).run_certified_units::<usize, _, _>(
+            let (res, _) = ParallelExecutor::new(threads).run::<usize, _, _>(
                 &plan,
                 &recompute,
                 Some(&cert),
@@ -1635,30 +1237,6 @@ mod tests {
             );
             assert_eq!(res, Err(victim));
         }
-    }
-
-    #[test]
-    fn unit_dispatch_without_units_delegates_to_task_dispatch() {
-        let plan = plan_of(12);
-        assert!(!plan.has_units());
-        let cert = crate::interference::certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let units_called = AtomicUsize::new(0);
-        let (res, sched) = ParallelExecutor::new(2).run_certified_units::<(), _, _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| Ok(()),
-            |_u, _ws| {
-                units_called.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            },
-        );
-        assert!(res.is_ok());
-        assert_eq!(units_called.load(Ordering::SeqCst), 0);
-        assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        assert_eq!(sched.spans.len(), plan.num_tasks());
-        assert_eq!(sched.split_units, 0);
     }
 
     #[test]
@@ -1686,14 +1264,16 @@ mod tests {
 
     #[test]
     fn makespan_and_busy_time_are_consistent() {
-        let plan = plan_of(10);
+        let plan = fan_plan(10);
         let recompute = vec![true; plan.num_tasks()];
-        let (res, sched) = ParallelExecutor::new(2).run::<(), _>(&plan, &recompute, |_s, ws| {
+        let exec = ParallelExecutor::new(2);
+        let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |_s, ws| {
             // Touch the workspace so the buffer path is exercised.
             ws.front_mut().reset(4, 4);
             Ok(())
         });
         assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::LevelBatched);
         assert!(sched.makespan() >= 0.0);
         assert!(sched.busy_time() >= 0.0);
         for w in sched.spans.windows(2) {

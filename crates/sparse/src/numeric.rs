@@ -5,8 +5,8 @@
 //! the sym-based [`NumericFactor::factorize`]/[`NumericFactor::refactor`]
 //! entry points derive a throwaway plan and run it serially, while the
 //! incremental engine caches one plan per symbolic structure and drives
-//! [`NumericFactor::execute_plan`] directly (optionally on the
-//! [`ParallelExecutor`] worker pool — results are bit-identical).
+//! [`NumericFactor::execute_plan`] directly (on the [`ParallelExecutor`]
+//! worker pool when the plan is certified — results are bit-identical).
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -160,7 +160,7 @@ impl NumericFactor {
         dirty_blocks: &[usize],
     ) -> Result<RefactorStats, FactorizeError> {
         let plan = ExecutionPlan::from_symbolic(sym);
-        self.execute_plan(&plan, h, dirty_blocks, &ParallelExecutor::serial())
+        self.execute_plan(&plan, h, dirty_blocks, &ParallelExecutor::serial(), None)
             .map(|(stats, _)| stats)
     }
 
@@ -178,10 +178,17 @@ impl NumericFactor {
     /// recompute set is the ancestor closure of the dirty nodes plus every
     /// node whose structural signature no longer matches the cached factor,
     /// and each recomputed task runs against a preallocated per-worker
-    /// workspace. Running on the worker pool is **bit-identical** to serial
-    /// execution: every task merges its children's cached update matrices
-    /// in the plan's fixed child order, so f64 sums never depend on
-    /// completion order.
+    /// workspace.
+    ///
+    /// `cert` is the plan's level-safety proof from
+    /// [`interference::certify`](crate::interference::certify). A
+    /// multi-threaded `exec` runs a plan the certificate
+    /// [covers](crate::PlanCertificate::covers) level-batched on its
+    /// worker pool ([`DispatchMode::LevelBatched`](crate::DispatchMode));
+    /// without a covering certificate it runs serially. The pool is
+    /// **bit-identical** to serial execution: every task merges its
+    /// children's cached update matrices in the plan's fixed child order,
+    /// so f64 sums never depend on completion order.
     ///
     /// Returns the refactor stats (traces in children-before-parents plan
     /// postorder, exactly as the serial path reports them) and the wall-
@@ -193,27 +200,6 @@ impl NumericFactor {
     /// definite; the factor's numeric cache is invalid afterwards (callers
     /// re-seed via [`empty`](Self::empty) or damping, as the engine does).
     pub fn execute_plan(
-        &mut self,
-        plan: &ExecutionPlan,
-        h: &BlockMat,
-        dirty_blocks: &[usize],
-        exec: &ParallelExecutor,
-    ) -> Result<(RefactorStats, HostSchedule), FactorizeError> {
-        self.execute_plan_certified(plan, h, dirty_blocks, exec, None)
-    }
-
-    /// [`execute_plan`](Self::execute_plan) with an optional level-safety
-    /// proof from [`interference::certify`](crate::interference::certify).
-    /// A covering certificate lets the executor dispatch proven-safe
-    /// topological levels in lock-free batches
-    /// ([`DispatchMode::LevelBatched`](crate::DispatchMode)); without one
-    /// the dependency-counted pool runs as before. Bit-identical either
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_plan`](Self::execute_plan).
-    pub fn execute_plan_certified(
         &mut self,
         plan: &ExecutionPlan,
         h: &BlockMat,
@@ -265,9 +251,7 @@ impl NumericFactor {
         let numeric = exec.numeric();
         // Shared strip state for every recomputed split task, allocated up
         // front on the calling thread so sub-unit execution itself stays
-        // allocation-free. Empty when the plan has no sub-unit overlay (or
-        // the executor falls back to whole-task dispatch, which simply
-        // never touches it).
+        // allocation-free. Empty when the plan has no sub-unit overlay.
         let split_state: Vec<Option<TaskSplit>> = plan
             .tasks()
             .iter()
@@ -280,7 +264,7 @@ impl NumericFactor {
                     .map(|shape| TaskSplit::new(&shape, task.front_dim(), numeric))
             })
             .collect();
-        let (res, sched) = exec.run_certified_units(
+        let (res, sched) = exec.run(
             plan,
             &is_recompute,
             cert,
@@ -1154,12 +1138,13 @@ mod tests {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
+        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let h = build_h(&p, 17);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
 
         let mut serial = NumericFactor::empty(&plan);
         let (stats_s, sched_s) = serial
-            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
+            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial(), Some(&cert))
             .unwrap();
         let bytes_s = serial.serialize_bytes();
         assert_eq!(sched_s.workers, 1);
@@ -1167,13 +1152,38 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let mut par = NumericFactor::empty(&plan);
             let (stats_p, sched_p) = par
-                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
+                .execute_plan(
+                    &plan,
+                    &h,
+                    &all,
+                    &ParallelExecutor::new(threads),
+                    Some(&cert),
+                )
                 .unwrap();
+            assert_eq!(sched_p.mode, crate::DispatchMode::LevelBatched);
+            assert!(sched_p.workers > 1, "{threads} threads ran on one worker");
             assert_eq!(bytes_s, par.serialize_bytes(), "{threads} threads diverged");
             assert_eq!(stats_s.recomputed_nodes(), stats_p.recomputed_nodes());
             assert_eq!(stats_s.flops(), stats_p.flops());
             assert_eq!(sched_p.spans.len(), plan.num_tasks());
         }
+
+        // Incremental (partial-recompute) batched execution also matches.
+        let mut h1 = h.clone();
+        h1.add_to_block(3, 3, &Mat::from_diag(&vec![0.75; p.block_dims()[3]]));
+        let mut inc_serial = serial;
+        inc_serial
+            .execute_plan(&plan, &h1, &[3], &ParallelExecutor::serial(), None)
+            .unwrap();
+        let mut inc_par = NumericFactor::empty(&plan);
+        let exec = ParallelExecutor::new(4);
+        inc_par
+            .execute_plan(&plan, &h, &all, &exec, Some(&cert))
+            .unwrap();
+        inc_par
+            .execute_plan(&plan, &h1, &[3], &exec, Some(&cert))
+            .unwrap();
+        assert_eq!(inc_serial.serialize_bytes(), inc_par.serialize_bytes());
     }
 
     #[test]
@@ -1181,19 +1191,26 @@ mod tests {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
+        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let h = build_h(&p, 17);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
         for mode in [NumericMode::F32, NumericMode::F32F64] {
             let mut serial = NumericFactor::empty(&plan);
             let exec = ParallelExecutor::serial().with_numeric(mode);
-            let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec).unwrap();
+            let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec, None).unwrap();
             assert_eq!(sched_s.numeric, mode);
             let bytes_s = serial.serialize_bytes();
             for threads in [2usize, 4, 8] {
                 let mut par = NumericFactor::empty(&plan);
                 let exec = ParallelExecutor::new(threads).with_numeric(mode);
-                let (_, sched_p) = par.execute_plan(&plan, &h, &all, &exec).unwrap();
+                let (_, sched_p) = par
+                    .execute_plan(&plan, &h, &all, &exec, Some(&cert))
+                    .unwrap();
                 assert_eq!(sched_p.numeric, mode);
+                assert!(
+                    sched_p.workers > 1,
+                    "{mode} at {threads} threads ran serially"
+                );
                 assert_eq!(
                     bytes_s,
                     par.serialize_bytes(),
@@ -1203,7 +1220,7 @@ mod tests {
             // The narrow engines genuinely round: a same-input f64 factor
             // must differ, or the mode never reached the kernels.
             let mut wide = NumericFactor::empty(&plan);
-            wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
+            wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial(), None)
                 .unwrap();
             assert_ne!(
                 bytes_s,
@@ -1214,83 +1231,24 @@ mod tests {
     }
 
     #[test]
-    fn certified_batched_execution_is_bit_identical_to_serial() {
-        let p = loopy_pattern();
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let plan = ExecutionPlan::from_symbolic(&sym);
-        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
-        let h = build_h(&p, 17);
-        let all: Vec<usize> = (0..p.num_blocks()).collect();
-
-        let mut serial = NumericFactor::empty(&plan);
-        let (stats_s, _) = serial
-            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
-            .unwrap();
-        let bytes_s = serial.serialize_bytes();
-
-        for threads in [2usize, 4, 8] {
-            let mut par = NumericFactor::empty(&plan);
-            let (stats_p, sched_p) = par
-                .execute_plan_certified(
-                    &plan,
-                    &h,
-                    &all,
-                    &ParallelExecutor::new(threads),
-                    Some(&cert),
-                )
-                .unwrap();
-            assert_eq!(
-                sched_p.mode,
-                crate::DispatchMode::LevelBatched,
-                "{threads} threads should batch"
-            );
-            assert_eq!(
-                bytes_s,
-                par.serialize_bytes(),
-                "{threads}-thread batched dispatch diverged"
-            );
-            assert_eq!(stats_s.recomputed_nodes(), stats_p.recomputed_nodes());
-            assert_eq!(stats_s.flops(), stats_p.flops());
-        }
-
-        // Incremental (partial-recompute) batched execution also matches.
-        let mut h1 = h.clone();
-        h1.add_to_block(3, 3, &Mat::from_diag(&vec![0.75; p.block_dims()[3]]));
-        let mut inc_serial = serial;
-        inc_serial
-            .execute_plan(&plan, &h1, &[3], &ParallelExecutor::serial())
-            .unwrap();
-        let inc_bytes = inc_serial.serialize_bytes();
-        let mut inc_par = NumericFactor::empty(&plan);
-        inc_par
-            .execute_plan_certified(&plan, &h, &all, &ParallelExecutor::new(4), Some(&cert))
-            .unwrap();
-        let (_, sched_inc) = inc_par
-            .execute_plan_certified(&plan, &h1, &[3], &ParallelExecutor::new(4), Some(&cert))
-            .unwrap();
-        assert_eq!(inc_bytes, inc_par.serialize_bytes());
-        // Partial recompute may collapse to ≤1 task (serial inline) or
-        // batch — either way the bytes above already matched.
-        assert!(sched_inc.spans.len() >= 1);
-    }
-
-    #[test]
     fn execute_plan_reuses_like_refactor() {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
+        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let h0 = build_h(&p, 1);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
+        let exec = ParallelExecutor::new(4);
 
         let mut via_plan = NumericFactor::empty(&plan);
         via_plan
-            .execute_plan(&plan, &h0, &all, &ParallelExecutor::new(4))
+            .execute_plan(&plan, &h0, &all, &exec, Some(&cert))
             .unwrap();
 
         let mut h1 = h0.clone();
         h1.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
         let (stats, _) = via_plan
-            .execute_plan(&plan, &h1, &[2], &ParallelExecutor::new(4))
+            .execute_plan(&plan, &h1, &[2], &exec, Some(&cert))
             .unwrap();
 
         // Mirror the serial refactor path on a fresh factor.
@@ -1350,13 +1308,15 @@ mod tests {
         for mode in [NumericMode::F64, NumericMode::F32, NumericMode::F32F64] {
             let mut oracle = NumericFactor::empty(&unsplit);
             let exec = ParallelExecutor::serial().with_numeric(mode);
-            let (ostats, _) = oracle.execute_plan(&unsplit, &h, &all, &exec).unwrap();
+            let (ostats, _) = oracle
+                .execute_plan(&unsplit, &h, &all, &exec, None)
+                .unwrap();
             let bytes = oracle.serialize_bytes();
             for threads in [1usize, 2, 4, 8] {
                 let mut fac = NumericFactor::empty(&split);
                 let exec = ParallelExecutor::new(threads).with_numeric(mode);
                 let (stats, sched) = fac
-                    .execute_plan_certified(&split, &h, &all, &exec, Some(&cert))
+                    .execute_plan(&split, &h, &all, &exec, Some(&cert))
                     .unwrap();
                 assert_eq!(
                     bytes,
@@ -1397,20 +1357,20 @@ mod tests {
 
         let mut oracle = NumericFactor::empty(&unsplit);
         oracle
-            .execute_plan(&unsplit, &h0, &all, &ParallelExecutor::serial())
+            .execute_plan(&unsplit, &h0, &all, &ParallelExecutor::serial(), None)
             .unwrap();
         let (ostats, _) = oracle
-            .execute_plan(&unsplit, &h1, &[1], &ParallelExecutor::serial())
+            .execute_plan(&unsplit, &h1, &[1], &ParallelExecutor::serial(), None)
             .unwrap();
         assert!(ostats.reused > 0, "a local change must reuse node 0");
 
         for threads in [1usize, 4] {
             let exec = ParallelExecutor::new(threads);
             let mut fac = NumericFactor::empty(&split);
-            fac.execute_plan_certified(&split, &h0, &all, &exec, Some(&cert))
+            fac.execute_plan(&split, &h0, &all, &exec, Some(&cert))
                 .unwrap();
             let (stats, _) = fac
-                .execute_plan_certified(&split, &h1, &[1], &exec, Some(&cert))
+                .execute_plan(&split, &h1, &[1], &exec, Some(&cert))
                 .unwrap();
             assert_eq!(stats.reused, ostats.reused);
             assert_eq!(stats.recomputed_nodes(), ostats.recomputed_nodes());
@@ -1432,7 +1392,7 @@ mod tests {
         let off = ExecutionPlan::from_symbolic_with_split(&sym, SplitConfig::off());
         let mut oracle = NumericFactor::empty(&off);
         oracle
-            .execute_plan(&off, &h, &all, &ParallelExecutor::serial())
+            .execute_plan(&off, &h, &all, &ParallelExecutor::serial(), None)
             .unwrap();
         let bytes = oracle.serialize_bytes();
         // Exactly at the largest front dimension the fronts still split;
@@ -1445,7 +1405,7 @@ mod tests {
         for plan in [&at, &above] {
             let cert = crate::interference::certify(plan).expect("plan certifies");
             let mut fac = NumericFactor::empty(plan);
-            fac.execute_plan_certified(plan, &h, &all, &ParallelExecutor::new(4), Some(&cert))
+            fac.execute_plan(plan, &h, &all, &ParallelExecutor::new(4), Some(&cert))
                 .unwrap();
             assert_eq!(bytes, fac.serialize_bytes());
         }
@@ -1468,13 +1428,13 @@ mod tests {
         let cert = crate::interference::certify(&split).expect("split plan certifies");
         let mut wfac = NumericFactor::empty(&unsplit);
         let werr = wfac
-            .execute_plan(&unsplit, &h, &all, &ParallelExecutor::serial())
+            .execute_plan(&unsplit, &h, &all, &ParallelExecutor::serial(), None)
             .unwrap_err();
         assert!(werr.front_col() >= 48, "poison must land past panel 0");
         for threads in [1usize, 4] {
             let mut sfac = NumericFactor::empty(&split);
             let serr = sfac
-                .execute_plan_certified(
+                .execute_plan(
                     &split,
                     &h,
                     &all,
@@ -1488,24 +1448,30 @@ mod tests {
 
     #[test]
     fn factorize_error_leaves_factor_reseedable() {
-        let mut p = BlockPattern::new(vec![1, 1]);
-        p.add_block_edge(0, 1);
+        let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
-        let mut bad = BlockMat::new(vec![1, 1]);
-        bad.add_to_block(0, 0, &Mat::from_rows(1, 1, &[1.0]));
-        bad.add_to_block(1, 0, &Mat::from_rows(1, 1, &[2.0]));
-        bad.add_to_block(1, 1, &Mat::from_rows(1, 1, &[1.0]));
-        let all = [0usize, 1];
-        let mut num = NumericFactor::empty(&plan);
-        assert!(num
-            .execute_plan(&plan, &bad, &all, &ParallelExecutor::new(2))
-            .is_err());
-        // A good system factorizes fine afterwards.
+        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
+        let mut bad = build_h(&p, 3);
+        bad.add_to_block(0, 0, &Mat::from_diag(&vec![-1e9; p.block_dims()[0]]));
+        let all: Vec<usize> = (0..p.num_blocks()).collect();
+        let want = NumericFactor::empty(&plan)
+            .execute_plan(&plan, &bad, &all, &ParallelExecutor::serial(), None)
+            .unwrap_err();
         let good = build_h(&p, 3);
-        let (stats, _) = num
-            .execute_plan(&plan, &good, &all, &ParallelExecutor::serial())
-            .unwrap();
-        assert_eq!(stats.recomputed.len(), plan.num_tasks());
+        for threads in [2usize, 4] {
+            let exec = ParallelExecutor::new(threads);
+            let mut num = NumericFactor::empty(&plan);
+            let err = num
+                .execute_plan(&plan, &bad, &all, &exec, Some(&cert))
+                .unwrap_err();
+            assert_eq!(err, want, "{threads} threads reported another pivot");
+            // A good system factorizes fine afterwards.
+            let (stats, sched) = num
+                .execute_plan(&plan, &good, &all, &exec, Some(&cert))
+                .unwrap();
+            assert_eq!(stats.recomputed.len(), plan.num_tasks());
+            assert!(sched.workers > 1);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! seeded dataset, the level-batched executor path must produce
 //! bit-identical numeric factors to the serial path at every thread
 //! count, every batched schedule must pass the host-schedule validator,
-//! and the dispatch-policy/certificate gate must select the expected mode.
+//! and every multi-task step of a multi-threaded run must be batched.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use supernova::datasets::Dataset;
 use supernova::hw::Platform;
 use supernova::runtime::CostModel;
 use supernova::solvers::{RaIsam2Config, SolverEngine};
-use supernova::sparse::{DispatchMode, DispatchPolicy, ParallelExecutor};
+use supernova::sparse::{DispatchMode, ParallelExecutor};
 use supernova_analyze::validate_host_schedule;
 
 fn sweep_datasets() -> Vec<Dataset> {
@@ -21,15 +21,15 @@ fn sweep_datasets() -> Vec<Dataset> {
     ]
 }
 
-/// Replays `ds` through the incremental engine with the given executor
-/// configuration. Returns the final numeric factor bytes and the dispatch
-/// mode of every step's host schedule; validates each schedule against
-/// its plan along the way.
-fn run(ds: &Dataset, threads: usize, policy: DispatchPolicy) -> (Vec<u8>, Vec<DispatchMode>) {
+/// Replays `ds` through the incremental engine on a `threads`-wide
+/// executor. Returns the final numeric factor bytes and, for every step
+/// with a host schedule, its dispatch mode and recomputed task count;
+/// validates each schedule against its plan along the way.
+fn run(ds: &Dataset, threads: usize) -> (Vec<u8>, Vec<(DispatchMode, usize)>) {
     let cost = Arc::new(CostModel::new(Platform::supernova(2)));
     let mut engine = SolverEngine::new(RaIsam2Config::default(), cost);
-    engine.set_executor(ParallelExecutor::new(threads).with_policy(policy));
-    let mut modes = Vec::new();
+    engine.set_executor(ParallelExecutor::new(threads));
+    let mut steps = Vec::new();
     for step in ds.online_steps() {
         let trace = engine.step(step.truth, step.factors);
         let core = engine.solver().core();
@@ -38,29 +38,29 @@ fn run(ds: &Dataset, threads: usize, policy: DispatchPolicy) -> (Vec<u8>, Vec<Di
             let violations = validate_host_schedule(plan, sched, &recomputed);
             assert!(
                 violations.is_empty(),
-                "{} ({threads} threads, {policy:?}): invalid schedule: {violations:?}",
+                "{} ({threads} threads): invalid schedule: {violations:?}",
                 ds.name()
             );
-            modes.push(sched.mode);
+            steps.push((sched.mode, recomputed.len()));
         }
     }
     let bytes = engine
         .numeric_bytes()
         .unwrap_or_else(|| panic!("{}: no numeric cache after replay", ds.name()));
-    (bytes, modes)
+    (bytes, steps)
 }
 
 #[test]
 fn batched_dispatch_is_bit_identical_across_thread_counts() {
     for ds in sweep_datasets() {
-        let (serial_bytes, serial_modes) = run(&ds, 1, DispatchPolicy::Auto);
+        let (serial_bytes, serial_steps) = run(&ds, 1);
         assert!(
-            serial_modes.iter().all(|&m| m == DispatchMode::Serial),
+            serial_steps.iter().all(|&(m, _)| m == DispatchMode::Serial),
             "{}: single-thread executor must stay serial",
             ds.name()
         );
         for threads in [2usize, 4, 8] {
-            let (bytes, modes) = run(&ds, threads, DispatchPolicy::Auto);
+            let (bytes, steps) = run(&ds, threads);
             assert_eq!(
                 bytes,
                 serial_bytes,
@@ -68,41 +68,21 @@ fn batched_dispatch_is_bit_identical_across_thread_counts() {
                 ds.name()
             );
             assert!(
-                modes.contains(&DispatchMode::LevelBatched),
-                "{} at {threads} threads: no step used batched dispatch (modes: {modes:?})",
+                steps.iter().any(|&(m, _)| m == DispatchMode::LevelBatched),
+                "{} at {threads} threads: no step used batched dispatch",
                 ds.name()
             );
-            // Every certified plan batches; dep-counting would mean a
-            // dataset plan failed certification mid-run.
-            assert!(
-                !modes.contains(&DispatchMode::DepCounted),
-                "{} at {threads} threads: a plan escaped certification",
-                ds.name()
-            );
+            // Every certified plan batches as soon as a step has two tasks
+            // to run. An uncertified plan falls back to serial silently,
+            // so a serial multi-task step means a dataset plan stopped
+            // certifying mid-run.
+            for (i, &(mode, tasks)) in steps.iter().enumerate() {
+                assert!(
+                    tasks < 2 || mode == DispatchMode::LevelBatched,
+                    "{} at {threads} threads: step {i} ran {tasks} tasks as {mode:?}",
+                    ds.name()
+                );
+            }
         }
-    }
-}
-
-#[test]
-fn forced_depcount_policy_disables_batching_and_stays_bit_identical() {
-    for ds in sweep_datasets() {
-        let (serial_bytes, _) = run(&ds, 1, DispatchPolicy::Auto);
-        let (bytes, modes) = run(&ds, 4, DispatchPolicy::DepCounted);
-        assert_eq!(
-            bytes,
-            serial_bytes,
-            "{}: dep-counted factor bytes diverge from serial",
-            ds.name()
-        );
-        assert!(
-            !modes.contains(&DispatchMode::LevelBatched),
-            "{}: DepCounted policy must never batch (modes: {modes:?})",
-            ds.name()
-        );
-        assert!(
-            modes.contains(&DispatchMode::DepCounted),
-            "{}: expected at least one dep-counted parallel step (modes: {modes:?})",
-            ds.name()
-        );
     }
 }

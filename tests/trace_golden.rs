@@ -58,7 +58,7 @@ fn traced_replay(threads: usize, steps: usize) -> Vec<Trace> {
 
 /// Drops the `workers` and `dispatch_mode` counters everywhere in the
 /// tree: they record the host executor width and the dispatch strategy it
-/// selected (serial / dep-counted / level-batched), the only fields that
+/// selected (serial / level-batched), the only fields that
 /// legitimately differ between otherwise-identical replays at different
 /// thread counts.
 fn strip_worker_counters(span: &mut Span) {
