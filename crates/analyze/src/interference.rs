@@ -26,8 +26,8 @@ use supernova_solvers::{RaIsam2Config, SolverEngine};
 
 use supernova_sparse::interference::InterferenceViolation as Violation;
 pub use supernova_sparse::interference::{
-    certify, check_accesses, check_unit_schedule, extract_accesses, plan_fingerprint, Access,
-    AccessKind, InterferenceKind, InterferenceViolation, PlanCertificate, Region, Resource,
+    certify, check_accesses, extract_accesses, plan_fingerprint, Access, AccessKind,
+    InterferenceKind, InterferenceViolation, PlanCertificate, Region, Resource,
 };
 
 /// The outcome of certifying one dataset's final execution plan.

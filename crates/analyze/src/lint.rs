@@ -31,9 +31,10 @@
 //!   schedule stamping) — ambient wall-clock reads are determinism hazards
 //!   everywhere else.
 //! - **lock-order**: ranked mutexes (fleet router < serve dispatcher
-//!   state < executor ready queue < executor workspace pool) must be
-//!   acquired in strictly increasing rank order, so cross-layer deadlocks
-//!   are impossible by construction.
+//!   state < executor workspace pool) must be acquired in strictly
+//!   increasing rank order. A rank applies only in the file that declares
+//!   it, so the rule checks acquisition order within one file (including
+//!   re-acquiring a held lock), not across layers.
 //!
 //! Any finding can opt out with `// lint: allow(<rule>)` on the same line,
 //! on the line directly above, or on either of those positions relative to
@@ -205,24 +206,16 @@ const THREAD_SPAWN_ALLOWLIST: [&str; 3] = [
 /// dense kernels and the plan executor (every line of these is either on
 /// the per-task hot path or a documented cold-path setup that carries an
 /// allow).
-const HOT_ALLOC_FILE_SCOPES: [&str; 5] = [
+const HOT_ALLOC_FILE_SCOPES: [&str; 4] = [
     "crates/linalg/src/kernels.rs",
     "crates/linalg/src/blas.rs",
     "crates/linalg/src/cholesky.rs",
-    "crates/linalg/src/split.rs",
     "crates/sparse/src/executor.rs",
 ];
 
 /// `(file, fn name)` pairs whose function body (brace extent) is hot-alloc
-/// scope: the multifrontal task body runs once per supernode per step, and
-/// the split sub-unit bodies run once per panel/tile/strip per step.
-const HOT_ALLOC_FN_SCOPES: [(&str, &str); 5] = [
-    ("crates/sparse/src/numeric.rs", "compute_task"),
-    ("crates/sparse/src/numeric.rs", "assemble_strip"),
-    ("crates/sparse/src/numeric.rs", "panel_step"),
-    ("crates/sparse/src/numeric.rs", "tile_step"),
-    ("crates/sparse/src/numeric.rs", "finish_task"),
-];
+/// scope: the multifrontal task body runs once per supernode per step.
+const HOT_ALLOC_FN_SCOPES: [(&str, &str); 1] = [("crates/sparse/src/numeric.rs", "compute_task")];
 
 /// Files where every panic-capable construct is a protocol bug: the wire
 /// codec + request handlers of the serving layer and the SNVT binary
@@ -241,7 +234,7 @@ const PANIC_PATH_SCOPES: [&str; 7] = [
 
 /// The only modules allowed to read the wall clock: the process-global
 /// trace epoch and the executor's schedule stamping (whose wall fields are
-/// documented as nondeterministic) plus its sub-level barrier's bounded
+/// documented as nondeterministic) plus its level barrier's bounded
 /// spin budget — a pure latency/CPU trade with no data-dependent effect.
 /// Everywhere else in library code, `Instant::now`/`SystemTime` is a
 /// determinism hazard.
@@ -250,17 +243,16 @@ const WALL_CLOCK_ALLOWLIST: [&str; 2] =
 
 /// Declared mutex ranks, `(file, binding name, rank)`. Ranked locks must
 /// be acquired in strictly increasing rank order; acquiring a rank while
-/// holding an equal or higher one is flagged. The declared order is the
-/// call-graph order fleet front door → serve → executor: a connection
-/// thread holds the fleet router mutex while the router dispatches into a
-/// shard, whose dispatcher may hold its session state while dispatching
-/// into the executor (which takes its ready queue, then its workspace
-/// pool) — never any of the reverses.
-const LOCK_RANKS: [(&str, &str, u32); 4] = [
+/// holding an equal or higher one is flagged. Each entry applies only to
+/// acquisitions in its own file, so the check runs within one file; the
+/// ranks record the call-graph order fleet front door → serve → executor
+/// (a connection thread holds the fleet router mutex while the router
+/// dispatches into a shard, whose dispatcher may hold its session state
+/// while dispatching into the executor's workspace pool).
+const LOCK_RANKS: [(&str, &str, u32); 3] = [
     ("crates/fleet/src/bin/fleet_router.rs", "router", 0),
     ("crates/serve/src/dispatch.rs", "state", 1),
-    ("crates/sparse/src/executor.rs", "ready", 2),
-    ("crates/sparse/src/executor.rs", "pool", 3),
+    ("crates/sparse/src/executor.rs", "pool", 2),
 ];
 
 /// Allocation-shaped constructs the hot-alloc rule flags. Method-call
@@ -1604,52 +1596,69 @@ mod tests {
         .all(|v| v.rule != Rule::WallClock));
     }
 
+    /// Lock-order findings for `src` under an explicit rank table (the
+    /// shipped table ranks at most one lock per file).
+    fn lock_order_findings(src: &str, ranks: &[(&str, u32)]) -> Vec<Violation> {
+        let (toks, comments) = tokenize(src);
+        let ctx = token_contexts(&toks, &[]);
+        let lines: Vec<&str> = src.lines().collect();
+        let mut diags = Diagnostics::default();
+        let path = PathBuf::from("fixture.rs");
+        check_lock_order(
+            &toks,
+            &ctx,
+            ranks,
+            &Allows::new(&comments),
+            &path,
+            &lines,
+            &mut diags,
+        );
+        diags
+            .violations
+            .into_iter()
+            .filter(|v| v.rule == Rule::LockOrder)
+            .collect()
+    }
+
     #[test]
     fn lock_order_violations_detected() {
-        let file = "crates/sparse/src/executor.rs";
-        // Acquiring `ready` (rank 1) while holding `pool` (rank 2): wrong.
-        let bad =
-            "fn f() {\n    let g = pool.lock().unwrap();\n    let q = ready.lock().unwrap();\n}\n";
-        let d = lint_file_diag(file, bad);
-        assert_eq!(
-            d.violations
+        // Two shipped ranks, `state` below `pool`.
+        let rank = |name: &str| {
+            LOCK_RANKS
                 .iter()
-                .filter(|v| v.rule == Rule::LockOrder)
-                .count(),
-            1,
-            "{d:?}"
-        );
-        // The declared order (ready then pool) is fine.
+                .find(|(_, n, _)| *n == name)
+                .map(|&(_, n, r)| (n, r))
+                .unwrap()
+        };
+        let ranks = [rank("state"), rank("pool")];
+        assert!(ranks[0].1 < ranks[1].1);
+        // Acquiring `state` while holding `pool`: wrong.
+        let bad =
+            "fn f() {\n    let g = pool.lock().unwrap();\n    let q = state.lock().unwrap();\n}\n";
+        assert_eq!(lock_order_findings(bad, &ranks).len(), 1);
+        // The declared order (state then pool) is fine.
         let ok =
-            "fn f() {\n    let q = ready.lock().unwrap();\n    let g = pool.lock().unwrap();\n}\n";
-        let d = lint_file_diag(file, ok);
-        assert!(
-            d.violations.iter().all(|v| v.rule != Rule::LockOrder),
-            "{d:?}"
-        );
+            "fn f() {\n    let q = state.lock().unwrap();\n    let g = pool.lock().unwrap();\n}\n";
+        assert!(lock_order_findings(ok, &ranks).is_empty());
         // Dropping the guard releases the rank.
-        let dropped = "fn f() {\n    let g = pool.lock().unwrap();\n    drop(g);\n    let q = ready.lock().unwrap();\n}\n";
-        let d = lint_file_diag(file, dropped);
-        assert!(
-            d.violations.iter().all(|v| v.rule != Rule::LockOrder),
-            "{d:?}"
-        );
+        let dropped = "fn f() {\n    let g = pool.lock().unwrap();\n    drop(g);\n    let q = state.lock().unwrap();\n}\n";
+        assert!(lock_order_findings(dropped, &ranks).is_empty());
         // Scope exit releases the guard.
-        let scoped = "fn f() {\n    {\n        let g = pool.lock().unwrap();\n    }\n    let q = ready.lock().unwrap();\n}\n";
-        let d = lint_file_diag(file, scoped);
-        assert!(
-            d.violations.iter().all(|v| v.rule != Rule::LockOrder),
-            "{d:?}"
-        );
+        let scoped = "fn f() {\n    {\n        let g = pool.lock().unwrap();\n    }\n    let q = state.lock().unwrap();\n}\n";
+        assert!(lock_order_findings(scoped, &ranks).is_empty());
         // A transient (un-bound) lock releases at end of statement.
         let transient =
-            "fn f() {\n    pool.lock().unwrap().push(x);\n    let q = ready.lock().unwrap();\n}\n";
-        let d = lint_file_diag(file, transient);
-        assert!(
-            d.violations.iter().all(|v| v.rule != Rule::LockOrder),
-            "{d:?}"
-        );
-        // Re-acquiring the same rank (self-deadlock) is flagged.
+            "fn f() {\n    pool.lock().unwrap().push(x);\n    let q = state.lock().unwrap();\n}\n";
+        assert!(lock_order_findings(transient, &ranks).is_empty());
+        // Unranked lock names are ignored.
+        let unranked =
+            "fn f() {\n    let e = errors.lock().unwrap();\n    let q = state.lock().unwrap();\n}\n";
+        assert!(lock_order_findings(unranked, &ranks).is_empty());
+
+        // Through the shipped table: re-acquiring the executor's pool
+        // (self-deadlock) is flagged in its file, and a rank declared for
+        // another file does not apply there.
+        let file = "crates/sparse/src/executor.rs";
         let twice =
             "fn f() {\n    let a = pool.lock().unwrap();\n    let b = pool.lock().unwrap();\n}\n";
         let d = lint_file_diag(file, twice);
@@ -1661,10 +1670,7 @@ mod tests {
             1,
             "{d:?}"
         );
-        // Unranked lock names are ignored.
-        let unranked =
-            "fn f() {\n    let e = errors.lock().unwrap();\n    let q = ready.lock().unwrap();\n}\n";
-        let d = lint_file_diag(file, unranked);
+        let d = lint_file_diag(file, bad);
         assert!(
             d.violations.iter().all(|v| v.rule != Rule::LockOrder),
             "{d:?}"

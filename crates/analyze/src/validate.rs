@@ -22,7 +22,7 @@ use supernova_runtime::{
     calc_space, simulate_step_traced, step_energy_ledger, ExecTrace, SchedulerConfig, StepEnergy,
     StepLatency, StepTrace, Unit,
 };
-use supernova_sparse::{ExecutionPlan, HostSchedule};
+use supernova_sparse::{ExecutionPlan, HostSchedule, TaskSpan};
 
 /// The invariant classes the checker enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,32 +284,19 @@ pub fn validate_exec(trace: &StepTrace, exec: &ExecTrace) -> Vec<ScheduleViolati
 /// `RefactorStats::recomputed_nodes()`); the schedule must cover it
 /// exactly, every parent span must start after each recomputed child's
 /// span ends, and no worker may run two spans at once.
-///
-/// Unit-granular schedules (plans with an intra-front split overlay) emit
-/// one span per executed sub-unit, all tagged with the owning task: the
-/// coverage check then requires each recomputed split task to appear once
-/// per sub-unit (or exactly once, when the executor fell back to
-/// whole-task dispatch), and happens-before is checked on each task's
-/// wall-clock *envelope* — its earliest sub-unit start against the child's
-/// latest sub-unit end.
 pub fn validate_host_schedule(
     plan: &ExecutionPlan,
     sched: &HostSchedule,
     recomputed: &[usize],
 ) -> Vec<ScheduleViolation> {
-    use std::collections::BTreeMap;
     let mut out = Vec::new();
     let tol = time_tol(sched.makespan());
 
-    // --- Coverage: exactly the recomputed tasks.
+    // --- Coverage: exactly the recomputed tasks, each exactly once.
     let mut want: Vec<usize> = recomputed.to_vec();
+    let mut got: Vec<usize> = sched.spans.iter().map(|s| s.node).collect();
     want.sort_unstable();
-    want.dedup();
-    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-    for s in &sched.spans {
-        *counts.entry(s.node).or_insert(0) += 1;
-    }
-    let got: Vec<usize> = counts.keys().copied().collect();
+    got.sort_unstable();
     if want != got {
         out.push(ScheduleViolation {
             invariant: Invariant::Coverage,
@@ -317,36 +304,9 @@ pub fn validate_host_schedule(
         });
         return out; // downstream checks assume coverage
     }
-    for (&node, &n) in &counts {
-        let units = if plan.has_units() {
-            let (lo, hi) = plan.task_units_range(node);
-            hi - lo
-        } else {
-            1
-        };
-        // Whole-task dispatch (1 span) is always legal; a split task may
-        // instead run once per sub-unit — anything else is a dropped or
-        // double-dispatched unit.
-        if n != 1 && n != units {
-            out.push(ScheduleViolation {
-                invariant: Invariant::Coverage,
-                detail: format!(
-                    "node {node} ran {n} spans, expected 1 whole-task span or \
-                     its {units} sub-units"
-                ),
-            });
-        }
-    }
 
-    // Wall-clock envelope per task: earliest span start, latest span end.
-    let mut envelope: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
-    for s in &sched.spans {
-        let e = envelope
-            .entry(s.node)
-            .or_insert((f64::INFINITY, f64::NEG_INFINITY));
-        e.0 = e.0.min(s.start);
-        e.1 = e.1.max(s.end);
-    }
+    let span_of: std::collections::BTreeMap<usize, &TaskSpan> =
+        sched.spans.iter().map(|s| (s.node, s)).collect();
 
     // --- Sane spans on valid workers.
     for s in &sched.spans {
@@ -370,21 +330,19 @@ pub fn validate_host_schedule(
         }
     }
 
-    // --- Happens-before over the plan's elimination forest: a parent's
-    // envelope may not open before any recomputed child's envelope closes
-    // (for split tasks: the parent's first Assemble sub-unit against the
-    // child's Finish sub-unit).
-    for (&node, &(start, _)) in &envelope {
-        for mg in &plan.tasks()[node].merges {
-            let Some(&(_, child_end)) = envelope.get(&mg.child) else {
+    // --- Happens-before over the plan's elimination forest: a parent span
+    // may not start before any recomputed child's span ends.
+    for s in &sched.spans {
+        for mg in &plan.tasks()[s.node].merges {
+            let Some(child) = span_of.get(&mg.child) else {
                 continue; // reused child: its cached update predates the step
             };
-            if start < child_end - tol {
+            if s.start < child.end - tol {
                 out.push(ScheduleViolation {
                     invariant: Invariant::HappensBefore,
                     detail: format!(
-                        "node {node} starts at {start:.3e}s before child {} ends at {child_end:.3e}s",
-                        mg.child
+                        "node {} starts at {:.3e}s before child {} ends at {:.3e}s",
+                        s.node, s.start, mg.child, child.end
                     ),
                 });
             }
@@ -872,13 +830,19 @@ mod tests {
 
         #[test]
         fn missing_or_foreign_span_is_rejected() {
-            let (plan, mut sched, recomputed) = run(2);
-            sched.spans.pop();
-            let v = validate_host_schedule(&plan, &sched, &recomputed);
-            assert!(
-                v.iter().any(|v| v.invariant == Invariant::Coverage),
-                "got {v:?}"
-            );
+            let (plan, sched, recomputed) = run(2);
+            let mut missing = sched.clone();
+            missing.spans.pop();
+            // A task dispatched twice is as wrong as one never dispatched.
+            let mut doubled = sched;
+            doubled.spans.push(doubled.spans[0].clone());
+            for bad in [missing, doubled] {
+                let v = validate_host_schedule(&plan, &bad, &recomputed);
+                assert!(
+                    v.iter().any(|v| v.invariant == Invariant::Coverage),
+                    "got {v:?}"
+                );
+            }
         }
 
         #[test]

@@ -26,14 +26,6 @@
 //! `PASS`/`FAIL` in a fixed order and the run ends with one summary line
 //! naming any failed checks. See DESIGN.md "Plan/exec split & host
 //! parallelism" for why equality is exact rather than within-tolerance.
-//!
-//! The sweep also crosses the intra-front split pass: per (dataset,
-//! mode), a split-disabled serial replay and a split-disabled 4-thread
-//! replay are compared against the same split-enabled serial reference
-//! (`split-off-serial` / `split-off-4t`). This is the strongest claim the
-//! design makes — the sub-unit overlay changes *scheduling only*, so its
-//! bytes must match the unsplit plan's bytes exactly, not merely be
-//! internally consistent across thread counts.
 
 use std::process::ExitCode;
 
@@ -42,7 +34,7 @@ use supernova_datasets::Dataset;
 use supernova_factors::{Key, Variable};
 use supernova_linalg::NumericMode;
 use supernova_solvers::{Isam2, Isam2Config, OnlineSolver};
-use supernova_sparse::{ParallelExecutor, SplitConfig};
+use supernova_sparse::ParallelExecutor;
 
 /// FNV-1a over a byte string.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -63,12 +55,11 @@ struct Replay {
     estimate: Vec<Variable>,
 }
 
-fn replay(dataset: &Dataset, mode: NumericMode, threads: usize, split: SplitConfig) -> Replay {
+fn replay(dataset: &Dataset, mode: NumericMode, threads: usize) -> Replay {
     let mut solver = Isam2::new(Isam2Config::default());
     solver
         .core_mut()
         .set_executor(ParallelExecutor::new(threads).with_numeric(mode));
-    solver.core_mut().set_split_config(split);
     let mut step_hashes = Vec::new();
     for step in &dataset.online_steps() {
         solver.step(step.truth.clone(), step.factors.clone());
@@ -89,9 +80,9 @@ fn replay(dataset: &Dataset, mode: NumericMode, threads: usize, split: SplitConf
 fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
     let name = dataset.name();
     eprintln!("{name} [{mode}]: {} steps", dataset.num_steps());
-    let serial = replay(dataset, mode, 1, SplitConfig::on());
+    let serial = replay(dataset, mode, 1);
     for threads in [2usize, 4] {
-        let run = replay(dataset, mode, threads, SplitConfig::on());
+        let run = replay(dataset, mode, threads);
         let diverged = serial
             .step_hashes
             .iter()
@@ -116,28 +107,6 @@ fn check(report: &mut Report, dataset: &Dataset, mode: NumericMode) {
         );
         report.check(
             &format!("{name}/{mode}/{threads}t/estimate"),
-            run.estimate == serial.estimate,
-            &format!(
-                "{} poses compared by exact f64 equality",
-                run.estimate.len()
-            ),
-        );
-    }
-    // Split-off cross-checks against the split-on serial reference: the
-    // overlay must be invisible in the bytes, at any thread count.
-    for (label, threads) in [("split-off-serial", 1usize), ("split-off-4t", 4)] {
-        let run = replay(dataset, mode, threads, SplitConfig::off());
-        report.check(
-            &format!("{name}/{mode}/{label}/final-bytes"),
-            run.final_bytes == serial.final_bytes,
-            &format!(
-                "{} vs {} bytes (split-on serial reference)",
-                run.final_bytes.len(),
-                serial.final_bytes.len()
-            ),
-        );
-        report.check(
-            &format!("{name}/{mode}/{label}/estimate"),
             run.estimate == serial.estimate,
             &format!(
                 "{} poses compared by exact f64 equality",

@@ -18,15 +18,11 @@
 //!   across thread counts — the numeric results are bit-identical, so the
 //!   priced trace is too);
 //! - the plan's modeled subtree-parallel speedup
-//!   (`total_cost / critical_path_cost`, unit-aware when the split pass
-//!   produced a sub-unit overlay), which is what the measured speedup
-//!   converges to given enough host cores, alongside the same ratio with
-//!   the overlay ignored (`modeled_critical_path_speedup_unsplit`) so the
-//!   split pass's critical-path win is a first-class gated number;
+//!   (`total_cost / critical_path_cost`), which is what the measured
+//!   speedup converges to given enough host cores;
 //! - the final plan's `largest_task_fraction` (share of total work in its
-//!   single heaviest dispatchable item — the one-giant-task ceiling the
-//!   split pass exists to break) and each run's `level_occupancy` at that
-//!   thread count, plus the executed schedule's `split_units` count;
+//!   single heaviest task — the one-giant-task ceiling on parallel
+//!   speedup) and each run's `level_occupancy` at that thread count;
 //! - the dispatch mode of the final full-refactor host schedule (serial /
 //!   level-batched — level-batched proves the interference certificate
 //!   gate engaged; a serial multi-threaded run means it did not) and that schedule's dispatch overhead per
@@ -101,21 +97,14 @@ struct Run {
     sim_numeric_s: f64,
     /// The same, in SoC cycles.
     sim_cycles: f64,
-    /// Plan-modeled subtree parallelism of the final tree (unit-aware).
+    /// Plan-modeled subtree parallelism of the final tree.
     modeled_speedup: f64,
-    /// The same ratio with the split overlay ignored: whole tasks on the
-    /// critical path. `modeled_speedup / modeled_speedup_unsplit` is the
-    /// split pass's modeled critical-path win.
-    modeled_speedup_unsplit: f64,
     /// Share of the final plan's total work concentrated in its heaviest
-    /// dispatchable item (sub-unit when split, whole task otherwise).
+    /// task.
     largest_task_fraction: f64,
     /// Work-weighted mean barrier-to-barrier occupancy of the final plan
     /// at this run's thread count.
     level_occupancy: f64,
-    /// Sub-units the final full-refactor schedule dispatched (0 = the
-    /// plan executed at whole-task granularity).
-    split_units: u64,
     /// Dispatch strategy of the final full-refactor host schedule
     /// (0 serial, 2 level-batched).
     dispatch_mode: u64,
@@ -165,14 +154,10 @@ fn replay(dataset: &Dataset, threads: usize) -> Run {
     let dispatch_overhead_per_task_s = sched
         .map(|s| s.dispatch_overhead_per_task_s())
         .unwrap_or(0.0);
-    let split_units = sched.map(|s| s.split_units as u64).unwrap_or(0);
 
     let plan = solver.core().plan();
     let modeled_speedup = plan
         .map(|p| p.total_cost() as f64 / p.critical_path_cost().max(1) as f64)
-        .unwrap_or(1.0);
-    let modeled_speedup_unsplit = plan
-        .map(|p| p.total_cost() as f64 / p.critical_path_cost_unsplit().max(1) as f64)
         .unwrap_or(1.0);
     let largest_task_fraction = plan.map(|p| p.largest_task_fraction()).unwrap_or(1.0);
     let level_occupancy = plan.map(|p| p.level_occupancy(threads)).unwrap_or(0.0);
@@ -183,10 +168,8 @@ fn replay(dataset: &Dataset, threads: usize) -> Run {
         sim_numeric_s,
         sim_cycles: sim_numeric_s * platform.soc().freq_hz,
         modeled_speedup,
-        modeled_speedup_unsplit,
         largest_task_fraction,
         level_occupancy,
-        split_units,
         dispatch_mode,
         numeric_mode: numeric.as_u64(),
         dispatch_overhead_per_task_s,
@@ -240,13 +223,6 @@ fn main() {
         );
         let _ = writeln!(
             out,
-            "      \"modeled_critical_path_speedup_unsplit\": {:.4},",
-            runs.last()
-                .map(|r| r.modeled_speedup_unsplit)
-                .unwrap_or(1.0)
-        );
-        let _ = writeln!(
-            out,
             "      \"largest_task_fraction\": {:.6},",
             runs.last().map(|r| r.largest_task_fraction).unwrap_or(1.0)
         );
@@ -272,7 +248,6 @@ fn main() {
             );
             let _ = writeln!(out, "          \"dispatch_mode\": {},", r.dispatch_mode);
             let _ = writeln!(out, "          \"numeric_mode\": {},", r.numeric_mode);
-            let _ = writeln!(out, "          \"split_units\": {},", r.split_units);
             let _ = writeln!(
                 out,
                 "          \"level_occupancy\": {:.6},",
@@ -295,18 +270,15 @@ fn main() {
         for r in &runs {
             eprintln!(
                 "  {} threads: wall {:.3}s (refactor {:.4}s, {:.2}x), sim numeric {:.4}s, \
-                 modeled {:.2}x (unsplit {:.2}x, ltf {:.3}, occ {:.3}), {} split units, \
-                 dispatch mode {} ({:.1}us/task overhead), numeric {}",
+                 modeled {:.2}x (ltf {:.3}, occ {:.3}), dispatch mode {} ({:.1}us/task overhead), numeric {}",
                 r.threads,
                 r.wall_s,
                 r.refactor_wall_s,
                 serial_refactor / r.refactor_wall_s,
                 r.sim_numeric_s,
                 r.modeled_speedup,
-                r.modeled_speedup_unsplit,
                 r.largest_task_fraction,
                 r.level_occupancy,
-                r.split_units,
                 r.dispatch_mode,
                 r.dispatch_overhead_per_task_s * 1e6,
                 r.numeric_mode

@@ -452,7 +452,11 @@ mod tests {
     }
 
     fn write_image(entries: &[JournalEntry]) -> Vec<u8> {
-        let dir = std::env::temp_dir().join(format!("snvj-test-{}", std::process::id()));
+        // One directory per call: tests run in parallel and each removes
+        // its directory when done.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("snvj-test-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("j.snvj");
         let mut w = JournalWriter::create(&path, 3).expect("create journal");

@@ -122,41 +122,23 @@ fn cholesky_unblocked_raw_g<S: Scalar, A: Accum<S>>(
     k: usize,
     b: usize,
 ) -> Result<(), NotPositiveDefiniteError> {
-    cholesky_unblocked_offs_g::<S, A>(data, ld, k, k, b, k)
-}
-
-/// Offset-split variant of [`cholesky_unblocked_raw_g`]: the diagonal block
-/// sits at storage row `row0`, storage *column* `col0` (the historic entry
-/// conflates the two — a column strip stores the same rows at a shifted
-/// column base), and pivot failures are reported as `err_base + j` so a
-/// strip-local call still reports front-global columns. Same arithmetic,
-/// operation for operation.
-pub(crate) fn cholesky_unblocked_offs_g<S: Scalar, A: Accum<S>>(
-    data: &mut [S],
-    ld: usize,
-    row0: usize,
-    col0: usize,
-    b: usize,
-    err_base: usize,
-) -> Result<(), NotPositiveDefiniteError> {
     for j in 0..b {
-        let cj = (col0 + j) * ld + row0;
+        let cj = (k + j) * ld + k;
         // d = a[j,j] - Σ_{p<j} L[j,p]²
         let mut d = A::promote(data[cj + j]);
         for p in 0..j {
-            let ljp = data[(col0 + p) * ld + row0 + j];
+            let ljp = data[(k + p) * ld + k + j];
             d -= A::promote(ljp * ljp);
         }
         if !(d > A::ZERO) || !d.is_finite() {
-            return Err(NotPositiveDefiniteError { col: err_base + j });
+            return Err(NotPositiveDefiniteError { col: k + j });
         }
         let djj = A::demote(d.sqrt());
         data[cj + j] = djj;
         for i in (j + 1)..b {
             let mut s = A::promote(data[cj + i]);
             for p in 0..j {
-                s -=
-                    A::promote(data[(col0 + p) * ld + row0 + i] * data[(col0 + p) * ld + row0 + j]);
+                s -= A::promote(data[(k + p) * ld + k + i] * data[(k + p) * ld + k + j]);
             }
             data[cj + i] = A::demote(s / A::promote(djj));
         }

@@ -37,7 +37,6 @@ pub mod mode;
 pub mod ops;
 pub mod reference;
 pub mod rng;
-pub mod split;
 mod triangular;
 
 pub use blas::{

@@ -71,11 +71,6 @@ pub fn exec_span(sched: &HostSchedule, trace: &StepTrace) -> Span {
     // mixed) — step artifacts and bench_check gate against the mode that
     // produced the numbers.
     span.counters.set("numeric_mode", sched.numeric.as_u64());
-    // How many intra-front sub-units the split pass dispatched (0 = the
-    // plan executed at whole-task granularity). Thread-invariant for
-    // certified plans: the serial path walks the same sub-unit overlay
-    // the batched path claims from.
-    span.counters.set("split_mode", sched.split_units as u64);
     span
 }
 

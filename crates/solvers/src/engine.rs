@@ -9,7 +9,7 @@ use supernova_linalg::{gemm, norm_inf, Mat, NumericMode, Transpose};
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
     interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
-    ParallelExecutor, PlanCertificate, SplitConfig, SymbolicFactor,
+    ParallelExecutor, PlanCertificate, SymbolicFactor,
 };
 
 /// A prepared fill-reducing reordering (see
@@ -65,12 +65,10 @@ pub struct IncrementalCore {
     /// only when the pattern's structure (or the elimination order)
     /// actually changes — see [`analyze`](Self::analyze).
     plan: Option<ExecutionPlan>,
-    /// `(num_blocks, nnz_blocks, split)` the cached plan was built for.
-    /// The pattern only ever grows, so unchanged counts prove the
-    /// structure is unchanged; the [`SplitConfig`] component makes a
-    /// split-configuration change invalidate the cache even though the
-    /// pattern is untouched.
-    plan_structure: Option<(usize, usize, SplitConfig)>,
+    /// `(num_blocks, nnz_blocks)` the cached plan was built for. The
+    /// pattern only ever grows, so unchanged counts prove the structure is
+    /// unchanged.
+    plan_structure: Option<(usize, usize)>,
     /// Level-safety certificate for the cached plan, computed once per
     /// plan rebuild by the static interference checker. `None` if the
     /// plan could not be proven safe — the executor then runs it serially.
@@ -80,9 +78,6 @@ pub struct IncrementalCore {
     plan_generation: usize,
     /// Host executor the numeric plans run on (`SUPERNOVA_THREADS`).
     executor: ParallelExecutor,
-    /// Intra-front split configuration the cached plans are built under
-    /// (`SUPERNOVA_SPLIT`).
-    split: SplitConfig,
     /// Wall-clock schedule of the latest numeric plan execution.
     last_host_schedule: Option<HostSchedule>,
     num: Option<NumericFactor>,
@@ -111,7 +106,6 @@ impl IncrementalCore {
         IncrementalCore {
             relax,
             executor: ParallelExecutor::from_env(),
-            split: SplitConfig::from_env(),
             ..Self::default()
         }
     }
@@ -161,37 +155,14 @@ impl IncrementalCore {
     /// estimates (the serving layer's engine pool relies on this).
     pub fn reset(&mut self) {
         let relax = self.relax;
-        let split = self.split;
         // Clones share the persistent workspace pool, so a recycled core
         // keeps its warm (zero-alloc) buffers.
         let executor = self.executor.clone();
         *self = IncrementalCore {
             relax,
             executor,
-            split,
             ..Self::default()
         };
-    }
-
-    /// Selects the intra-front split configuration the cached execution
-    /// plans are built under (see [`SplitConfig`]). Changing it
-    /// invalidates the plan cache — the next [`analyze`](Self::analyze)
-    /// rebuilds the plan and its certificate under the new configuration
-    /// — while the numeric cache survives: split and unsplit plans factor
-    /// bit-identically, so cached node factors stay valid. Setting the
-    /// already-active configuration is a no-op.
-    pub fn set_split_config(&mut self, split: SplitConfig) {
-        if self.split != split {
-            self.split = split;
-            self.plan = None;
-            self.plan_structure = None;
-            self.plan_cert = None;
-        }
-    }
-
-    /// The split configuration the cached plans are built under.
-    pub fn split_config(&self) -> SplitConfig {
-        self.split
     }
 
     /// The cached execution plan (after the first [`analyze`](Self::analyze)).
@@ -388,20 +359,14 @@ impl IncrementalCore {
     ///
     /// The execution plan is cached across calls: it is rebuilt only when
     /// the pattern's structure actually changed (the pattern only grows, so
-    /// an unchanged `(num_blocks, nnz_blocks)` pair proves equality), when
-    /// the split configuration changed
-    /// ([`set_split_config`](Self::set_split_config) — part of the cache
-    /// key), and on [`apply_reorder`](Self::apply_reorder), which permutes
-    /// the structure without changing either count.
+    /// an unchanged `(num_blocks, nnz_blocks)` pair proves equality), and
+    /// on [`apply_reorder`](Self::apply_reorder), which permutes the
+    /// structure without changing either count.
     pub fn analyze(&mut self) -> &SymbolicFactor {
-        let structure = (
-            self.pattern.num_blocks(),
-            self.pattern.nnz_blocks(),
-            self.split,
-        );
+        let structure = (self.pattern.num_blocks(), self.pattern.nnz_blocks());
         if self.plan.is_none() || self.plan_structure != Some(structure) {
             let sym = SymbolicFactor::analyze(&self.pattern, self.relax);
-            let plan = ExecutionPlan::from_symbolic_with_split(&sym, self.split);
+            let plan = ExecutionPlan::from_symbolic(&sym);
             // Certify once per rebuild; an unprovable plan runs serially.
             self.plan_cert = interference::certify(&plan).ok();
             self.plan = Some(plan);
@@ -491,14 +456,10 @@ impl IncrementalCore {
                 .pattern_size_of_nodes(&(0..plan.sym.nodes().len()).collect::<Vec<_>>());
         // A reorder permutes the structure without changing the block or
         // nnz counts, so the plan cache must be invalidated explicitly.
-        let exec_plan = ExecutionPlan::from_symbolic_with_split(&plan.sym, self.split);
+        let exec_plan = ExecutionPlan::from_symbolic(&plan.sym);
         self.plan_cert = interference::certify(&exec_plan).ok();
         self.plan = Some(exec_plan);
-        self.plan_structure = Some((
-            self.pattern.num_blocks(),
-            self.pattern.nnz_blocks(),
-            self.split,
-        ));
+        self.plan_structure = Some((self.pattern.num_blocks(), self.pattern.nnz_blocks()));
         self.plan_generation += 1;
         self.sym = Some(plan.sym);
         self.num = None;
@@ -899,45 +860,6 @@ mod tests {
             plan.num_tasks(),
             core.symbolic().expect("sym").nodes().len()
         );
-    }
-
-    #[test]
-    fn plan_cache_keyed_on_split_config() {
-        let mut core = chain_core();
-        core.analyze();
-        let gen = core.plan_generation();
-        core.factorize_and_solve();
-        let bytes = core.numeric_bytes().expect("solved");
-
-        // Re-setting the active configuration is a no-op on the cache.
-        core.set_split_config(core.split_config());
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen);
-
-        // A different split configuration rebuilds the plan exactly once,
-        // even though the pattern counts are unchanged — the cache key
-        // includes the config, not just the structure.
-        core.set_split_config(SplitConfig::off());
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen + 1);
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen + 1);
-        assert_eq!(
-            core.plan().expect("plan cached").split_config(),
-            SplitConfig::off()
-        );
-
-        // Numeric results are split-invariant: the cached factor stays
-        // valid under the rebuilt plan and the bytes do not move.
-        core.factorize_and_solve();
-        assert_eq!(core.numeric_bytes().expect("solved"), bytes);
-
-        // Switching back rebuilds once more, bytes still identical.
-        core.set_split_config(SplitConfig::on());
-        core.analyze();
-        assert_eq!(core.plan_generation(), gen + 2);
-        core.factorize_and_solve();
-        assert_eq!(core.numeric_bytes().expect("solved"), bytes);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::time::Instant;
 use supernova_linalg::{KernelScratch, Mat, NumericMode};
 
 use crate::interference::PlanCertificate;
-use crate::plan::UnitKind;
 use crate::ExecutionPlan;
 
 /// A worker's preallocated scratch buffers, reused across every task the
@@ -111,10 +110,9 @@ pub enum DispatchMode {
     /// no covering [`PlanCertificate`].
     #[default]
     Serial = 0,
-    /// Worker pool with one atomic claim cursor per level (task level, or
-    /// sub-level for a plan with a split overlay) and a barrier between
-    /// levels — no locks on the task path. Requires a [`PlanCertificate`]
-    /// proving same-level work access-disjoint.
+    /// Worker pool with one atomic claim cursor per task level and a
+    /// barrier between levels — no locks on the task path. Requires a
+    /// [`PlanCertificate`] proving same-level tasks access-disjoint.
     LevelBatched = 2,
 }
 
@@ -164,11 +162,8 @@ pub struct HostSchedule {
     pub mode: DispatchMode,
     /// Numeric precision the executing workers' kernels ran under.
     pub numeric: NumericMode,
-    /// Number of sub-unit spans in this record: 0 when tasks executed
-    /// whole, positive when the plan's split overlay was dispatched at
-    /// unit granularity (each span is then one sub-unit, and a split task
-    /// contributes several spans sharing its `node` id). Exported as the
-    /// `split_mode` trace counter.
+    /// Always 0: every span is one whole task. Kept because benchmark
+    /// tooling reads it as `sparse.split_units_per_step`.
     pub split_units: usize,
 }
 
@@ -391,43 +386,34 @@ impl ParallelExecutor {
     /// numeric layer uses a `OnceLock` slot per node), so the executor
     /// only sequences work.
     ///
-    /// A plan without a split overlay runs every flagged task whole
-    /// through `task_fn`. A plan with one ([`ExecutionPlan::has_units`])
-    /// runs every flagged task as its units: `Whole` units through
-    /// `task_fn` (called with the task id) and sub-units through `unit_fn`
-    /// (called with a unit id from [`ExecutionPlan::units`]). Either way
-    /// each executed item is one [`TaskSpan`], so the span structure does
+    /// Each executed task is one [`TaskSpan`], so the span structure does
     /// not depend on the thread count.
     ///
     /// Dispatch:
     ///
     /// - **serial** ([`DispatchMode::Serial`]): plan postorder on the
-    ///   calling thread, canonical unit order within each task. Used when
-    ///   the executor has one thread, when at most one task is flagged,
-    ///   and when `cert` is missing or does not
+    ///   calling thread. Used when the executor has one thread, when at
+    ///   most one task is flagged, and when `cert` is missing or does not
     ///   [cover](PlanCertificate::covers) `plan` — without the proof the
     ///   executor never runs work concurrently.
     /// - **level-batched** ([`DispatchMode::LevelBatched`]) otherwise: the
-    ///   plan's [`levels`](ExecutionPlan::levels) (or
-    ///   [`unit_levels`](ExecutionPlan::unit_levels) with a split overlay)
-    ///   in order on a scoped worker pool, with a barrier between levels.
+    ///   plan's [`levels`](ExecutionPlan::levels) in order on a scoped
+    ///   worker pool, with a barrier between levels.
     ///
     /// Results are bit-identical on both paths: the certificate only
     /// changes *when* independent work runs, never its inputs. On error,
     /// in-flight work finishes, no new work starts, and the error from the
     /// lowest-numbered failing task is returned.
-    pub fn run<E, F, G>(
+    pub fn run<E, F>(
         &self,
         plan: &ExecutionPlan,
         recompute: &[bool],
         cert: Option<&PlanCertificate>,
         task_fn: F,
-        unit_fn: G,
     ) -> (Result<(), E>, HostSchedule)
     where
         E: Send,
         F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-        G: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
     {
         assert_eq!(recompute.len(), plan.num_tasks());
         self.prepare(plan);
@@ -435,9 +421,9 @@ impl ParallelExecutor {
         // The coverage check re-derives the plan fingerprint, so it only
         // runs when the answer matters.
         if self.threads > 1 && total > 1 && cert.is_some_and(|c| c.covers(plan)) {
-            run_batched(self, plan, recompute, &task_fn, &unit_fn)
+            run_batched(self, plan, recompute, &task_fn)
         } else {
-            run_serial(self, plan, recompute, &task_fn, &unit_fn)
+            run_serial(self, plan, recompute, &task_fn)
         }
     }
 
@@ -458,101 +444,54 @@ impl ParallelExecutor {
     }
 }
 
-/// One execution's callbacks and clock. Both dispatchers hand it *items*:
-/// task ids for a plan without a split overlay, unit ids for a plan with
-/// one.
-struct Work<'a, F, G> {
-    plan: &'a ExecutionPlan,
-    task_fn: &'a F,
-    unit_fn: &'a G,
+/// Runs task `s` on `worker` and appends its span, timed on `origin`.
+fn run_task<E, F>(
+    task_fn: &F,
+    s: usize,
+    worker: usize,
     origin: Instant,
+    ws: &mut Workspace,
+    spans: &mut Vec<TaskSpan>,
+) -> Result<(), E>
+where
+    F: Fn(usize, &mut Workspace) -> Result<(), E>,
+{
+    let start = origin.elapsed().as_secs_f64();
+    let res = task_fn(s, ws);
+    let end = origin.elapsed().as_secs_f64();
+    spans.push(TaskSpan {
+        node: s,
+        worker,
+        start,
+        end,
+        kernel_flops: ws.scratch_mut().take_flops(),
+    });
+    res
 }
 
-impl<F, G> Work<'_, F, G> {
-    /// The task `item` belongs to, and whether it is a split sub-unit
-    /// (run through `unit_fn`) rather than a whole task.
-    fn resolve(&self, item: usize) -> (usize, bool) {
-        if self.plan.has_units() {
-            let unit = &self.plan.units()[item];
-            (unit.task, unit.kind != UnitKind::Whole)
-        } else {
-            (item, false)
-        }
-    }
-
-    /// Runs `item` on `worker` and appends its span. Returns the item's
-    /// task, whether it was a sub-unit, and the callback's result.
-    fn run<E>(
-        &self,
-        item: usize,
-        worker: usize,
-        ws: &mut Workspace,
-        spans: &mut Vec<TaskSpan>,
-    ) -> (usize, bool, Result<(), E>)
-    where
-        F: Fn(usize, &mut Workspace) -> Result<(), E>,
-        G: Fn(usize, &mut Workspace) -> Result<(), E>,
-    {
-        let (task, sub) = self.resolve(item);
-        let start = self.origin.elapsed().as_secs_f64();
-        let res = if sub {
-            (self.unit_fn)(item, ws)
-        } else {
-            (self.task_fn)(task, ws)
-        };
-        let end = self.origin.elapsed().as_secs_f64();
-        spans.push(TaskSpan {
-            node: task,
-            worker,
-            start,
-            end,
-            kernel_flops: ws.scratch_mut().take_flops(),
-        });
-        (task, sub, res)
-    }
-}
-
-/// Inline execution on the calling thread: plan postorder over tasks and,
-/// with a split overlay, canonical unit order within each task.
-fn run_serial<E, F, G>(
+/// Inline execution on the calling thread in plan postorder.
+fn run_serial<E, F>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
     recompute: &[bool],
     task_fn: &F,
-    unit_fn: &G,
 ) -> (Result<(), E>, HostSchedule)
 where
     F: Fn(usize, &mut Workspace) -> Result<(), E>,
-    G: Fn(usize, &mut Workspace) -> Result<(), E>,
 {
     let epoch = supernova_trace::epoch_seconds();
-    let work = Work {
-        plan,
-        task_fn,
-        unit_fn,
-        origin: Instant::now(),
-    };
+    let origin = Instant::now();
     let mut ws = exec.checkout(plan);
     // lint: allow(hot-alloc) — per-execution schedule record, not the task path
     let mut spans = Vec::new();
-    let mut split_units = 0usize;
     let mut err = None;
-    'tasks: for &s in plan.postorder() {
+    for &s in plan.postorder() {
         if !recompute[s] {
             continue;
         }
-        let (lo, hi) = if plan.has_units() {
-            plan.task_units_range(s)
-        } else {
-            (s, s + 1)
-        };
-        for item in lo..hi {
-            let (_, sub, res) = work.run(item, 0, &mut ws, &mut spans);
-            split_units += usize::from(sub);
-            if let Err(e) = res {
-                err = Some(e);
-                break 'tasks;
-            }
+        if let Err(e) = run_task(task_fn, s, 0, origin, &mut ws, &mut spans) {
+            err = Some(e);
+            break;
         }
     }
     exec.checkin(ws);
@@ -562,15 +501,14 @@ where
         origin: epoch,
         mode: DispatchMode::Serial,
         numeric: exec.numeric,
-        split_units,
+        split_units: 0,
     };
     (err.map_or(Ok(()), Err), sched)
 }
 
 /// A sense-reversing barrier that spins briefly before parking on a
 /// condvar. `std::sync::Barrier` always takes its mutex; a batched
-/// execution crosses one barrier per level — with a split overlay,
-/// ~`2×panels` sub-levels per task level — so the microseconds each
+/// execution crosses one barrier per level, so the microseconds each
 /// crossing costs sit directly on the critical path.
 /// Workers spin for a short budget (the common case: the level's last
 /// task finishes within it) and only then fall back to blocking — so an
@@ -653,57 +591,40 @@ impl SpinBarrier {
 }
 
 /// Level-batched worker-pool execution for certified plans: one atomic
-/// claim cursor per level and a [`SpinBarrier`] between levels. Levels are
-/// the plan's topological task levels, or its unit sub-levels when it has
-/// a split overlay.
+/// claim cursor per topological task level and a [`SpinBarrier`] between
+/// levels.
 ///
 /// Inside a level there is no ordering at all — the [`PlanCertificate`]
-/// proves same-level items access-disjoint (whole tasks, or the tile
-/// rectangles of split fronts), so any interleaving computes identical
-/// bits. *Between* levels the barrier provides the happens-before edge
-/// every cross-level read needs (a parent consuming a child's published
-/// update matrix, a tile consuming its panel): a worker passes the
-/// level-`k` barrier only after every level-`k` item has completed and
-/// published. Levels with nothing to recompute are skipped outright.
+/// proves same-level tasks access-disjoint, so any interleaving computes
+/// identical bits. *Between* levels the barrier provides the
+/// happens-before edge every cross-level read needs (a parent consuming a
+/// child's published update matrix): a worker passes the level-`k`
+/// barrier only after every level-`k` task has completed and published.
+/// Levels with nothing to recompute are skipped outright.
 ///
-/// The task path holds no locks: claiming an item is one `fetch_add` on
+/// The task path holds no locks: claiming a task is one `fetch_add` on
 /// the level cursor. On error the abort flag stops further claims, but
 /// every worker still reaches every barrier so nobody deadlocks.
-fn run_batched<E, F, G>(
+fn run_batched<E, F>(
     exec: &ParallelExecutor,
     plan: &ExecutionPlan,
     recompute: &[bool],
     task_fn: &F,
-    unit_fn: &G,
 ) -> (Result<(), E>, HostSchedule)
 where
     E: Send,
     F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    G: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
 {
     let epoch = supernova_trace::epoch_seconds();
-    let work = Work {
-        plan,
-        task_fn,
-        unit_fn,
-        origin: Instant::now(),
-    };
-    let source = if plan.has_units() {
-        plan.unit_levels()
-    } else {
-        plan.levels()
-    };
-    // Per-level worklists of recomputed items, ascending id so claim order
+    let origin = Instant::now();
+    // Per-level worklists of recomputed tasks, ascending id so claim order
     // is deterministic given claim timing.
     // lint: allow(hot-alloc) — per-execution dispatch tables, not the task path
-    let levels: Vec<Vec<usize>> = source
+    let levels: Vec<Vec<usize>> = plan
+        .levels()
         .iter()
         .map(|members| {
-            let mut v: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&item| recompute[work.resolve(item).0])
-                .collect();
+            let mut v: Vec<usize> = members.iter().copied().filter(|&s| recompute[s]).collect();
             v.sort_unstable();
             v
         })
@@ -719,7 +640,6 @@ where
 
     // lint: allow(hot-alloc) — per-execution schedule record, not the task path
     let mut all_spans: Vec<TaskSpan> = Vec::with_capacity(total);
-    let mut split_units = 0usize;
     std::thread::scope(|scope| {
         // lint: allow(hot-alloc) — per-execution worker handles, not the task path
         let mut handles = Vec::with_capacity(nworkers);
@@ -729,23 +649,19 @@ where
             let abort = &abort;
             let errors = &errors;
             let barrier = &barrier;
-            let work = &work;
             handles.push(scope.spawn(move || {
                 let mut ws = exec.checkout(plan);
                 // lint: allow(hot-alloc) — per-execution schedule record, not the task path
                 let mut spans: Vec<TaskSpan> = Vec::new();
-                let mut subs = 0usize;
                 for (lvl, members) in levels.iter().enumerate() {
                     while !abort.load(Ordering::Acquire) {
                         let idx = cursors[lvl].fetch_add(1, Ordering::AcqRel);
-                        let Some(&item) = members.get(idx) else {
+                        let Some(&s) = members.get(idx) else {
                             break;
                         };
-                        let (task, sub, res) = work.run(item, worker, &mut ws, &mut spans);
-                        subs += usize::from(sub);
-                        if let Err(e) = res {
+                        if let Err(e) = run_task(task_fn, s, worker, origin, &mut ws, &mut spans) {
                             // lint: allow(unwrap) — poisoning needs a prior worker panic
-                            errors.lock().unwrap().push((task, e));
+                            errors.lock().unwrap().push((s, e));
                             abort.store(true, Ordering::Release);
                         }
                     }
@@ -754,13 +670,12 @@ where
                     barrier.wait();
                 }
                 exec.checkin(ws);
-                (spans, subs)
+                spans
             }));
         }
         for h in handles {
-            if let Ok((spans, subs)) = h.join() {
+            if let Ok(spans) = h.join() {
                 all_spans.extend(spans);
-                split_units += subs;
             }
         }
     });
@@ -777,7 +692,7 @@ where
         origin: epoch,
         mode: DispatchMode::LevelBatched,
         numeric: exec.numeric,
-        split_units,
+        split_units: 0,
     };
     let mut errs = errors.into_inner().unwrap_or_default();
     if errs.is_empty() {
@@ -814,8 +729,8 @@ mod tests {
         ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
     }
 
-    /// [`ParallelExecutor::run`] on a plan without a split overlay, with
-    /// the plan's own certificate so multi-threaded executors batch.
+    /// [`ParallelExecutor::run`] with the plan's own certificate, so
+    /// multi-threaded executors batch.
     fn run_tasks<E, F>(
         exec: &ParallelExecutor,
         plan: &ExecutionPlan,
@@ -826,11 +741,8 @@ mod tests {
         E: Send,
         F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
     {
-        assert!(!plan.has_units());
         let cert = certify(plan).expect("test plan certifies");
-        exec.run(plan, recompute, Some(&cert), task_fn, |u, _ws| {
-            panic!("unit {u} dispatched for a plan without units")
-        })
+        exec.run(plan, recompute, Some(&cert), task_fn)
     }
 
     fn expected_mode(threads: usize) -> DispatchMode {
@@ -946,32 +858,27 @@ mod tests {
     }
 
     #[test]
-    fn unsplit_plan_runs_whole_tasks_through_the_batched_path() {
+    fn batched_path_matches_serial_errors_and_spans() {
         let plan = fan_plan(9);
-        assert!(!plan.has_units());
         let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
-        let units_called = AtomicUsize::new(0);
-        let unit_fn = |_u: usize, _ws: &mut Workspace| -> Result<(), usize> {
-            units_called.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        };
         // Leaves 2 and 5 fail; the root never starts.
         let root = *plan.postorder().last().expect("nonempty"); // lint: allow(unwrap)
         let failing = |s: usize| s == 2 || s == 5;
         let task_fn = |s: usize, _ws: &mut Workspace| if failing(s) { Err(s) } else { Ok(()) };
         let (serial_res, serial) =
-            ParallelExecutor::serial().run(&plan, &recompute, Some(&cert), task_fn, unit_fn);
+            ParallelExecutor::serial().run(&plan, &recompute, Some(&cert), task_fn);
         assert_eq!(serial_res, Err(2));
         for threads in [2usize, 4] {
             let exec = ParallelExecutor::new(threads);
-            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), task_fn, unit_fn);
+            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), task_fn);
             assert_eq!(res, serial_res, "{threads} threads");
             assert_eq!(sched.mode, DispatchMode::LevelBatched);
             assert_eq!(sched.split_units, 0);
             assert!(sched.spans.iter().all(|sp| sp.node != root));
             // Clean run: one whole-task span per task, as serial.
-            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()), unit_fn);
+            let (res, sched) =
+                exec.run::<usize, _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
             assert!(res.is_ok());
             assert_eq!(sched.mode, DispatchMode::LevelBatched);
             assert!(sched.workers > 1);
@@ -981,7 +888,6 @@ mod tests {
             assert_eq!(nodes, (0..plan.num_tasks()).collect::<Vec<_>>());
         }
         assert!(serial.spans.iter().all(|sp| sp.node != root));
-        assert_eq!(units_called.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -991,7 +897,7 @@ mod tests {
         let foreign = certify(&plan_of(5)).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         let run = |exec: ParallelExecutor, cert: Option<&PlanCertificate>| {
-            exec.run::<(), _, _>(&plan, &recompute, cert, |_s, _ws| Ok(()), |_u, _ws| Ok(()))
+            exec.run::<(), _>(&plan, &recompute, cert, |_s, _ws| Ok(()))
         };
         // No certificate, or one for a *different* plan: serial on one
         // worker, never parallel without proof.
@@ -1088,155 +994,6 @@ mod tests {
         assert!(sched.dispatch_overhead_per_task_s() >= 0.0);
         assert!(sched.dispatch_overhead_per_task_s().is_finite());
         assert_eq!(HostSchedule::default().dispatch_overhead_per_task_s(), 0.0);
-    }
-    fn split_plan() -> ExecutionPlan {
-        let mut p = BlockPattern::new(vec![64, 64, 64]);
-        p.add_block_edge(0, 2);
-        p.add_block_edge(1, 2);
-        ExecutionPlan::from_symbolic_with_split(
-            &SymbolicFactor::analyze(&p, 0),
-            crate::plan::SplitConfig::on(),
-        )
-    }
-
-    #[test]
-    fn unit_dispatch_runs_each_unit_once_at_every_thread_count() {
-        let plan = split_plan();
-        assert!(plan.has_units());
-        let cert = certify(&plan).expect("split plan certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let whole_tasks: usize = (0..plan.num_tasks())
-            .filter(|&s| plan.split_shape(s).is_none())
-            .count();
-        let split_unit_count: usize = plan
-            .units()
-            .iter()
-            .filter(|u| u.kind != crate::plan::UnitKind::Whole)
-            .count();
-        for threads in [1usize, 2, 4] {
-            let unit_counts: Vec<AtomicUsize> =
-                (0..plan.num_units()).map(|_| AtomicUsize::new(0)).collect();
-            let task_counts: Vec<AtomicUsize> =
-                (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
-            let (res, sched) = ParallelExecutor::new(threads).run::<(), _, _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |s, _ws| {
-                    task_counts[s].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                },
-                |u, _ws| {
-                    unit_counts[u].fetch_add(1, Ordering::SeqCst);
-                    Ok(())
-                },
-            );
-            assert!(res.is_ok());
-            // Whole tasks ran once via task_fn, every sub-unit once via
-            // unit_fn.
-            assert_eq!(
-                task_counts
-                    .iter()
-                    .map(|c| c.load(Ordering::SeqCst))
-                    .sum::<usize>(),
-                whole_tasks
-            );
-            for (uid, c) in unit_counts.iter().enumerate() {
-                let expect = usize::from(plan.units()[uid].kind != crate::plan::UnitKind::Whole);
-                assert_eq!(c.load(Ordering::SeqCst), expect, "unit {uid}");
-            }
-            // Identical span structure at every thread count.
-            assert_eq!(sched.spans.len(), whole_tasks + split_unit_count);
-            assert_eq!(sched.split_units, split_unit_count);
-            let expect_mode = if threads == 1 {
-                DispatchMode::Serial
-            } else {
-                DispatchMode::LevelBatched
-            };
-            assert_eq!(sched.mode, expect_mode);
-        }
-    }
-
-    #[test]
-    fn unit_dispatch_orders_panels_before_their_tiles() {
-        let plan = split_plan();
-        let cert = certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let clock = AtomicU64::new(0);
-        let marks: Vec<(AtomicU64, AtomicU64)> = (0..plan.num_units())
-            .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
-            .collect();
-        let (res, sched) = ParallelExecutor::new(3).run::<(), _, _>(
-            &plan,
-            &recompute,
-            Some(&cert),
-            |_s, _ws| Ok(()),
-            |u, _ws| {
-                marks[u]
-                    .0
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                marks[u]
-                    .1
-                    .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                Ok(())
-            },
-        );
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        for s in 0..plan.num_tasks() {
-            if plan.split_shape(s).is_none() {
-                continue;
-            }
-            let (lo, hi) = plan.task_units_range(s);
-            let sub_of =
-                |kind: &crate::plan::UnitKind| (lo..hi).find(|&u| plan.units()[u].kind == *kind);
-            for uid in lo..hi {
-                if let crate::plan::UnitKind::Tile { panel, .. } = plan.units()[uid].kind {
-                    let pid = sub_of(&crate::plan::UnitKind::Panel { panel }).unwrap();
-                    let panel_end = marks[pid].1.load(Ordering::SeqCst);
-                    let tile_start = marks[uid].0.load(Ordering::SeqCst);
-                    assert!(
-                        panel_end < tile_start,
-                        "tile {uid} started before panel {pid} finished"
-                    );
-                }
-            }
-            let fid = sub_of(&crate::plan::UnitKind::Finish).unwrap();
-            let finish_start = marks[fid].0.load(Ordering::SeqCst);
-            for uid in lo..fid {
-                assert!(marks[uid].1.load(Ordering::SeqCst) < finish_start);
-            }
-        }
-    }
-
-    #[test]
-    fn unit_dispatch_propagates_errors_without_deadlock() {
-        let plan = split_plan();
-        let cert = certify(&plan).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        // Fail a mid-task unit (the first panel of the first split task).
-        let bad = plan
-            .units()
-            .iter()
-            .position(|u| matches!(u.kind, crate::plan::UnitKind::Panel { panel: 0 }))
-            .expect("split plan has a panel");
-        let victim = plan.units()[bad].task;
-        for threads in [1usize, 2, 4] {
-            let (res, _) = ParallelExecutor::new(threads).run::<usize, _, _>(
-                &plan,
-                &recompute,
-                Some(&cert),
-                |_s, _ws| Ok(()),
-                |u, _ws| {
-                    if u == bad {
-                        Err(plan.units()[u].task)
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
-            assert_eq!(res, Err(victim));
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use crate::plan::{ExecutionPlan, PlanTask, PlanUnit, UnitKind};
+use crate::plan::{ExecutionPlan, PlanTask};
 
 /// A scalar rectangle within one resource (update matrix or factor
 /// columns). `rows`/`cols` use saturating arithmetic so a whole-resource
@@ -137,14 +137,6 @@ pub enum InterferenceKind {
     /// The level table does not partition the tasks, or a parent does not
     /// sit strictly above a child.
     LevelPartition,
-    /// Two tile sub-units scheduled in the same sub-level write overlapping
-    /// rectangles of one split front — the sub-level barrier cannot order
-    /// them.
-    OverlappingTiles,
-    /// A trailing-update sub-unit is scheduled at or before the panel step
-    /// it depends on (either the panel that produces its operand, or — for
-    /// a later panel — the update tile that feeds its strip).
-    UpdateBeforePanel,
 }
 
 impl InterferenceKind {
@@ -156,8 +148,6 @@ impl InterferenceKind {
             InterferenceKind::ReadBeforeWrite => "read-before-write",
             InterferenceKind::Bounds => "bounds",
             InterferenceKind::LevelPartition => "level-partition",
-            InterferenceKind::OverlappingTiles => "overlapping-tiles",
-            InterferenceKind::UpdateBeforePanel => "update-before-panel",
         }
     }
 }
@@ -262,40 +252,6 @@ pub fn plan_fingerprint(plan: &ExecutionPlan) -> u64 {
                 h.push(b.dst_col);
                 h.push(b.rows);
                 h.push(b.cols);
-            }
-        }
-    }
-    // Split overlay: hashed only when present, so plans without sub-units
-    // keep their historical fingerprint. The split configuration itself is
-    // part of the hash — the same structure built under a different split
-    // config is a different plan.
-    if plan.has_units() {
-        h.push(usize::MAX); // domain separator
-        let sc = plan.split_config();
-        h.push(usize::from(sc.enabled));
-        h.push(sc.min_dim);
-        h.push(sc.tile);
-        h.push(plan.num_units());
-        h.push(plan.unit_levels().len());
-        for u in plan.units() {
-            h.push(u.task);
-            h.push(u.sublevel);
-            match u.kind {
-                UnitKind::Whole => h.push(0),
-                UnitKind::Assemble { strip } => {
-                    h.push(1);
-                    h.push(strip);
-                }
-                UnitKind::Panel { panel } => {
-                    h.push(2);
-                    h.push(panel);
-                }
-                UnitKind::Tile { panel, strip } => {
-                    h.push(3);
-                    h.push(panel);
-                    h.push(strip);
-                }
-                UnitKind::Finish => h.push(4),
             }
         }
     }
@@ -553,310 +509,6 @@ fn check_structure(plan: &ExecutionPlan) -> Vec<InterferenceViolation> {
     out
 }
 
-/// The front rectangle a sub-unit touches, in scalar front coordinates.
-/// `write` is what the unit mutates, `read` what it additionally consumes
-/// from earlier sub-levels (`None` when the read set is inside the write
-/// set).
-fn unit_regions(
-    kind: &UnitKind,
-    shape: &crate::plan::SplitShape,
-    front_dim: usize,
-    pivot_dim: usize,
-) -> (Region, Option<Region>) {
-    let rect = |row: usize, col: usize, rows: usize, cols: usize| Region {
-        row,
-        col,
-        rows,
-        cols,
-    };
-    match *kind {
-        UnitKind::Whole | UnitKind::Finish => (rect(0, 0, 0, 0), Some(Region::all())),
-        UnitKind::Assemble { strip } => {
-            let col0 = strip * shape.tile;
-            (
-                rect(0, col0, front_dim, shape.strip_width(strip, front_dim)),
-                None,
-            )
-        }
-        UnitKind::Panel { panel } => {
-            let (k, _) = shape.panel_cols(panel, pivot_dim);
-            let strip_end = ((shape.strip_of_panel(panel) + 1) * shape.tile).min(front_dim);
-            (rect(k, k, front_dim - k, strip_end - k), None)
-        }
-        UnitKind::Tile { panel, strip } => {
-            let (k, b) = shape.panel_cols(panel, pivot_dim);
-            let col0 = strip * shape.tile;
-            (
-                rect(
-                    col0,
-                    col0,
-                    front_dim - col0,
-                    shape.strip_width(strip, front_dim),
-                ),
-                Some(rect(col0, k, front_dim - col0, b)),
-            )
-        }
-    }
-}
-
-/// Proves the *sub-unit* schedule of a split plan safe, against the only
-/// happens-before edge unit-granular batched dispatch provides: the
-/// sub-level barrier (`sublevel(a) < sublevel(b)`). Checks, per split
-/// task:
-///
-/// - unit indices stay inside the task's strip/panel grid (`Bounds`);
-/// - assembles run strictly before, and the finish strictly after, every
-///   other unit of the task (`LevelPartition`);
-/// - every tile runs strictly after its producing panel, and every later
-///   panel strictly after the update tiles feeding its strip
-///   (`UpdateBeforePanel`);
-/// - units sharing a sub-level touch pairwise-disjoint front rectangles
-///   (`OverlappingTiles` for tile/tile writes, `SameLevelConflict`
-///   otherwise);
-///
-/// and, across tasks, that every unit of a merge child sits strictly below
-/// every unit of its parent (`ReadBeforeWrite`).
-///
-/// Exposed with an explicit `units` slice (normally
-/// [`ExecutionPlan::units`]) so mutation tests can corrupt a copied unit
-/// table and watch the matching check fire.
-pub fn check_unit_schedule(plan: &ExecutionPlan, units: &[PlanUnit]) -> Vec<InterferenceViolation> {
-    let mut out = Vec::new();
-    let tasks = plan.tasks();
-    let mut by_task: Vec<Vec<&PlanUnit>> = vec![Vec::new(); tasks.len()];
-    for u in units {
-        if u.task >= tasks.len() {
-            out.push(InterferenceViolation {
-                kind: InterferenceKind::LevelPartition,
-                task_a: u.task,
-                task_b: u.task,
-                message: format!("unit references task {} out of range", u.task),
-            });
-        } else {
-            by_task[u.task].push(u);
-        }
-    }
-    for (s, tus) in by_task.iter().enumerate() {
-        let task = &tasks[s];
-        let Some(shape) = plan.split_shape(s) else {
-            for u in tus {
-                if u.kind != UnitKind::Whole {
-                    out.push(InterferenceViolation {
-                        kind: InterferenceKind::LevelPartition,
-                        task_a: s,
-                        task_b: s,
-                        message: format!("unsplit task {s} carries sub-unit {:?}", u.kind),
-                    });
-                }
-            }
-            continue;
-        };
-        if tus.is_empty() {
-            out.push(InterferenceViolation {
-                kind: InterferenceKind::LevelPartition,
-                task_a: s,
-                task_b: s,
-                message: format!("split task {s} has no units"),
-            });
-            continue;
-        }
-        let (dim, m) = (task.front_dim(), task.pivot_dim);
-
-        // Grid bounds; out-of-grid units are excluded from region checks.
-        let in_grid = |u: &PlanUnit| match u.kind {
-            UnitKind::Whole => false,
-            UnitKind::Assemble { strip } => strip < shape.strips,
-            UnitKind::Panel { panel } => panel < shape.panels,
-            UnitKind::Tile { panel, strip } => panel < shape.panels && strip < shape.strips,
-            UnitKind::Finish => true,
-        };
-        for u in tus {
-            if !in_grid(u) {
-                out.push(InterferenceViolation {
-                    kind: InterferenceKind::Bounds,
-                    task_a: s,
-                    task_b: s,
-                    message: format!(
-                        "unit {:?} escapes task {s}'s {}×{} strip/panel grid",
-                        u.kind, shape.strips, shape.panels
-                    ),
-                });
-            }
-        }
-        let tus: Vec<&&PlanUnit> = tus.iter().filter(|u| in_grid(u)).collect();
-
-        // Locate the serial spine.
-        let mut panel_sub = vec![None; shape.panels];
-        let mut finish_sub = None;
-        let mut assemble_max = None;
-        for u in &tus {
-            match u.kind {
-                UnitKind::Panel { panel } => panel_sub[panel] = Some(u.sublevel),
-                UnitKind::Finish => finish_sub = Some(u.sublevel),
-                UnitKind::Assemble { .. } => {
-                    assemble_max =
-                        Some(assemble_max.map_or(u.sublevel, |a: usize| a.max(u.sublevel)));
-                }
-                _ => {}
-            }
-        }
-
-        // Panel → its tiles.
-        for u in &tus {
-            if let UnitKind::Tile { panel, strip } = u.kind {
-                match panel_sub[panel] {
-                    Some(ps) if ps < u.sublevel => {}
-                    Some(ps) => out.push(InterferenceViolation {
-                        kind: InterferenceKind::UpdateBeforePanel,
-                        task_a: s,
-                        task_b: s,
-                        message: format!(
-                            "tile ({panel}, {strip}) at sub-level {} not strictly after \
-                             panel {panel} at sub-level {ps}",
-                            u.sublevel
-                        ),
-                    }),
-                    None => out.push(InterferenceViolation {
-                        kind: InterferenceKind::LevelPartition,
-                        task_a: s,
-                        task_b: s,
-                        message: format!("tile ({panel}, {strip}) references missing panel"),
-                    }),
-                }
-            }
-        }
-        // Feed edges: panel p needs every earlier panel's tile into its own
-        // strip completed first.
-        for p in 0..shape.panels {
-            let Some(ps) = panel_sub[p] else {
-                out.push(InterferenceViolation {
-                    kind: InterferenceKind::LevelPartition,
-                    task_a: s,
-                    task_b: s,
-                    message: format!("split task {s} missing panel {p}"),
-                });
-                continue;
-            };
-            let sp = shape.strip_of_panel(p);
-            for u in &tus {
-                if let UnitKind::Tile { panel: tp, strip } = u.kind {
-                    if tp < p && strip == sp && u.sublevel >= ps {
-                        out.push(InterferenceViolation {
-                            kind: InterferenceKind::UpdateBeforePanel,
-                            task_a: s,
-                            task_b: s,
-                            message: format!(
-                                "panel {p} at sub-level {ps} runs at or before tile \
-                                 ({tp}, {strip}) feeding its strip (sub-level {})",
-                                u.sublevel
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        // Assembles first, finish last.
-        if let Some(amax) = assemble_max {
-            for u in &tus {
-                if !matches!(u.kind, UnitKind::Assemble { .. }) && u.sublevel <= amax {
-                    out.push(InterferenceViolation {
-                        kind: InterferenceKind::LevelPartition,
-                        task_a: s,
-                        task_b: s,
-                        message: format!(
-                            "unit {:?} at sub-level {} not strictly after assembly \
-                             (sub-level {amax})",
-                            u.kind, u.sublevel
-                        ),
-                    });
-                }
-            }
-        }
-        match finish_sub {
-            Some(fs) => {
-                for u in &tus {
-                    if !matches!(u.kind, UnitKind::Finish) && u.sublevel >= fs {
-                        out.push(InterferenceViolation {
-                            kind: InterferenceKind::LevelPartition,
-                            task_a: s,
-                            task_b: s,
-                            message: format!(
-                                "unit {:?} at sub-level {} not strictly before the finish \
-                                 (sub-level {fs})",
-                                u.kind, u.sublevel
-                            ),
-                        });
-                    }
-                }
-            }
-            None => out.push(InterferenceViolation {
-                kind: InterferenceKind::LevelPartition,
-                task_a: s,
-                task_b: s,
-                message: format!("split task {s} has no finish unit"),
-            }),
-        }
-        // Same-sub-level rectangle disjointness on the shared front.
-        for (i, a) in tus.iter().enumerate() {
-            let (aw, ar) = unit_regions(&a.kind, &shape, dim, m);
-            for b in &tus[i + 1..] {
-                if a.sublevel != b.sublevel {
-                    continue;
-                }
-                let (bw, br) = unit_regions(&b.kind, &shape, dim, m);
-                let conflict = aw.overlaps(&bw)
-                    || ar.as_ref().is_some_and(|r| r.overlaps(&bw))
-                    || br.as_ref().is_some_and(|r| r.overlaps(&aw));
-                if !conflict {
-                    continue;
-                }
-                let tiles = matches!(a.kind, UnitKind::Tile { .. })
-                    && matches!(b.kind, UnitKind::Tile { .. });
-                out.push(InterferenceViolation {
-                    kind: if tiles {
-                        InterferenceKind::OverlappingTiles
-                    } else {
-                        InterferenceKind::SameLevelConflict
-                    },
-                    task_a: s,
-                    task_b: s,
-                    message: format!(
-                        "units {:?} and {:?} of task {s} share sub-level {} but touch \
-                         overlapping front rectangles",
-                        a.kind, b.kind, a.sublevel
-                    ),
-                });
-            }
-        }
-    }
-    // Cross-task: a child's units all complete before any parent unit runs.
-    for task in tasks {
-        let first = by_task[task.node].iter().map(|u| u.sublevel).min();
-        for mg in &task.merges {
-            if mg.child >= tasks.len() {
-                continue;
-            }
-            let last = by_task[mg.child].iter().map(|u| u.sublevel).max();
-            if let (Some(first), Some(last)) = (first, last) {
-                if last >= first {
-                    out.push(InterferenceViolation {
-                        kind: InterferenceKind::ReadBeforeWrite,
-                        task_a: mg.child,
-                        task_b: task.node,
-                        message: format!(
-                            "parent {} starts at sub-level {first} while child {} still \
-                             runs at sub-level {last}",
-                            task.node, mg.child
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    dedup_violations(&mut out);
-    out
-}
-
 /// Runs the full interference proof over `plan` and, if it holds, emits
 /// the [`PlanCertificate`] the executor's batched dispatch mode requires.
 ///
@@ -869,9 +521,6 @@ pub fn certify(plan: &ExecutionPlan) -> Result<PlanCertificate, Vec<Interference
     let accesses = extract_accesses(plan);
     let level_of: Vec<usize> = plan.tasks().iter().map(|t| t.level).collect();
     violations.extend(check_accesses(&accesses, &level_of));
-    if plan.has_units() {
-        violations.extend(check_unit_schedule(plan, plan.units()));
-    }
     if !violations.is_empty() {
         dedup_violations(&mut violations);
         return Err(violations);
@@ -1047,143 +696,6 @@ mod tests {
         let v = check_accesses(&accesses, &[0, 0, 0, 2]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, InterferenceKind::ReadBeforeWrite);
-    }
-
-    fn split_plan() -> ExecutionPlan {
-        let mut p = BlockPattern::new(vec![64, 64, 64]);
-        p.add_block_edge(0, 2);
-        p.add_block_edge(1, 2);
-        ExecutionPlan::from_symbolic_with_split(
-            &SymbolicFactor::analyze(&p, 0),
-            crate::plan::SplitConfig::on(),
-        )
-    }
-
-    #[test]
-    fn split_plans_certify_and_fingerprint_covers_split_config() {
-        let plan = split_plan();
-        assert!(plan.has_units());
-        let cert = certify(&plan).expect("split plan must certify");
-        assert!(cert.covers(&plan));
-
-        // The same structure built unsplit, or under a different strip
-        // width, is a different plan.
-        let mut p = BlockPattern::new(vec![64, 64, 64]);
-        p.add_block_edge(0, 2);
-        p.add_block_edge(1, 2);
-        let sym = SymbolicFactor::analyze(&p, 0);
-        let unsplit =
-            ExecutionPlan::from_symbolic_with_split(&sym, crate::plan::SplitConfig::off());
-        let wide = ExecutionPlan::from_symbolic_with_split(
-            &sym,
-            crate::plan::SplitConfig::on().with_tile(96),
-        );
-        assert!(!cert.covers(&unsplit));
-        assert!(!cert.covers(&wide));
-        certify(&unsplit).expect("unsplit plan must certify");
-        certify(&wide).expect("wide-tile plan must certify");
-    }
-
-    #[test]
-    fn clean_unit_schedule_passes() {
-        let plan = split_plan();
-        assert!(check_unit_schedule(&plan, plan.units()).is_empty());
-    }
-
-    #[test]
-    fn duplicated_tile_strip_is_overlapping_tiles() {
-        let plan = split_plan();
-        let mut units: Vec<PlanUnit> = plan.units().to_vec();
-        // Retarget some tile onto its sibling's strip: two same-sub-level
-        // writers of one strip.
-        let (donor, victim) = {
-            let mut pair = None;
-            for (i, u) in units.iter().enumerate() {
-                if let UnitKind::Tile { panel, strip } = u.kind {
-                    for (j, v) in units.iter().enumerate() {
-                        if i != j
-                            && v.task == u.task
-                            && v.sublevel == u.sublevel
-                            && matches!(v.kind, UnitKind::Tile { panel: p2, strip: s2 }
-                                if p2 == panel && s2 != strip)
-                        {
-                            pair = Some((i, j));
-                        }
-                    }
-                }
-            }
-            pair.expect("split plan must have a panel with two tiles")
-        };
-        let UnitKind::Tile { strip, .. } = units[donor].kind else {
-            unreachable!()
-        };
-        let UnitKind::Tile { panel, .. } = units[victim].kind else {
-            unreachable!()
-        };
-        units[victim].kind = UnitKind::Tile { panel, strip };
-        let v = check_unit_schedule(&plan, &units);
-        assert!(
-            v.iter()
-                .any(|x| x.kind == InterferenceKind::OverlappingTiles),
-            "expected overlapping-tiles, got {v:?}"
-        );
-        assert_eq!(InterferenceKind::OverlappingTiles.id(), "overlapping-tiles");
-    }
-
-    #[test]
-    fn tile_scheduled_before_its_panel_is_rejected() {
-        let plan = split_plan();
-        let mut units: Vec<PlanUnit> = plan.units().to_vec();
-        let idx = units
-            .iter()
-            .position(|u| matches!(u.kind, UnitKind::Tile { .. }))
-            .expect("split plan must have a tile");
-        // Drag the tile down to the assembly sub-level, before its panel.
-        let base = plan.task_units(units[idx].task)[0].sublevel;
-        units[idx].sublevel = base;
-        let v = check_unit_schedule(&plan, &units);
-        assert!(
-            v.iter()
-                .any(|x| x.kind == InterferenceKind::UpdateBeforePanel),
-            "expected update-before-panel, got {v:?}"
-        );
-        assert_eq!(
-            InterferenceKind::UpdateBeforePanel.id(),
-            "update-before-panel"
-        );
-    }
-
-    #[test]
-    fn child_unit_overlapping_parent_is_rejected() {
-        let plan = split_plan();
-        let parent = plan
-            .tasks()
-            .iter()
-            .find(|t| !t.merges.is_empty())
-            .expect("plan must have a parent task");
-        let child = parent.merges[0].child;
-        let parent_first = plan
-            .task_units(parent.node)
-            .iter()
-            .map(|u| u.sublevel)
-            .min()
-            .unwrap();
-        let mut units: Vec<PlanUnit> = plan.units().to_vec();
-        // Push the child's last unit up into the parent's first sub-level.
-        let idx = units
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.task == child)
-            .map(|(i, _)| i)
-            .next_back()
-            .unwrap();
-        units[idx].sublevel = parent_first;
-        let v = check_unit_schedule(&plan, &units);
-        assert!(
-            v.iter()
-                .any(|x| x.kind == InterferenceKind::ReadBeforeWrite),
-            "expected read-before-write, got {v:?}"
-        );
     }
 
     #[test]

@@ -13,6 +13,9 @@
 #   build        release build of the workspace (+ bench-harness bins)
 #   test         cargo test -q --workspace
 #   doc          cargo doc --no-deps with warnings denied
+#   perfbench    build and test the standalone benchmark package
+#                (perfbench/, its own workspace): every workload at toy
+#                size on both seeds, traced and untraced
 #   lint         supernova-analyze lint + schedule/ledger/trace invariants
 #   static-analysis
 #                machine-readable diagnostics: lint engine v2 JSON report
@@ -21,9 +24,7 @@
 #                every seeded dataset's execution plan; report archived at
 #                results/analyze_diagnostics.json
 #   determinism  serial vs 2/4-thread factorization bit-identity, swept
-#                over every numeric mode (f64 / f32 / f32f64) and the
-#                intra-front split pass (split-off runs must match the
-#                split-on serial reference byte for byte)
+#                over every numeric mode (f64 / f32 / f32f64)
 #   numeric-ape  per-mode trajectory accuracy: narrow-mode APE gated
 #                against f64-mode APE, artifact at results/numeric_ape.json
 #   serve-smoke  serving layer: bit-identity, overload, trace cross-check
@@ -49,7 +50,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build test doc lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos kernel-bench bench bench-check"
+STAGES="fmt build test doc perfbench lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos kernel-bench bench bench-check"
 
 now() {
     # GNU date gives fractional seconds. Some date(1) implementations
@@ -159,6 +160,7 @@ run_stage() {
         build) build_all ;;
         test) cargo test -q --workspace ;;
         doc) doc_deny_warnings ;;
+        perfbench) cargo test --release --manifest-path perfbench/Cargo.toml ;;
         lint) cargo run -q -p supernova-analyze --bin lint ;;
         static-analysis) static_analysis ;;
         determinism) cargo run --release -q -p supernova-bench --bin determinism ;;
