@@ -18,8 +18,8 @@
 //!   [`ExecutionPlan`](supernova_sparse::ExecutionPlan) IR — proves every
 //!   same-level task pair access-disjoint and issues the
 //!   [`PlanCertificate`](supernova_sparse::interference::PlanCertificate)
-//!   that unlocks the executor's batched level dispatch — plus the
-//!   seeded-dataset certification sweep.
+//!   that a plan keeps and that unlocks the executor's batched level
+//!   dispatch — plus the seeded-dataset certification sweep.
 //! - [`validate`]: a schedule and ledger invariant checker over the
 //!   runtime's executed-schedule traces
 //!   ([`ExecTrace`](supernova_runtime::ExecTrace)): happens-before

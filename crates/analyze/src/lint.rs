@@ -250,7 +250,7 @@ const WALL_CLOCK_ALLOWLIST: [&str; 2] =
 /// dispatches into a shard, whose dispatcher may hold its session state
 /// while dispatching into the executor's workspace pool).
 const LOCK_RANKS: [(&str, &str, u32); 3] = [
-    ("crates/fleet/src/bin/fleet_router.rs", "router", 0),
+    ("crates/fleet/src/bin/fleet_router.rs", "shared", 0),
     ("crates/serve/src/dispatch.rs", "state", 1),
     ("crates/sparse/src/executor.rs", "pool", 2),
 ];

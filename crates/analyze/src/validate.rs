@@ -741,7 +741,6 @@ mod tests {
     mod host {
         use super::super::*;
         use supernova_linalg::Mat;
-        use supernova_sparse::interference::certify;
         use supernova_sparse::{
             BlockMat, BlockPattern, NumericFactor, ParallelExecutor, SymbolicFactor,
         };
@@ -766,16 +765,9 @@ mod tests {
                 h.add_to_block(j, j, &Mat::from_diag(&vec![6.0; dims[j]]));
             }
             let all: Vec<usize> = (0..p.num_blocks()).collect();
-            let cert = certify(&plan).expect("loopy plan certifies");
             let mut num = NumericFactor::empty(&plan);
             let (stats, sched) = num
-                .execute_plan(
-                    &plan,
-                    &h,
-                    &all,
-                    &ParallelExecutor::new(threads),
-                    Some(&cert),
-                )
+                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
                 .expect("SPD fixture");
             (plan, sched, stats.recomputed_nodes())
         }

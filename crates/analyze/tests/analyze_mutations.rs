@@ -3,13 +3,14 @@
 //!
 //! One half mutates real [`ExecutionPlan`]s (level hoists, scatter-bounds
 //! escapes, level-table corruption) and crafted access sets, asserting the
-//! interference checker reports the precise violation kind and that issued
-//! certificates stop covering mutated plans. The other half feeds each new
+//! interference checker reports the precise violation kind and that a
+//! mutated plan drops the certificate it held. The other half feeds each new
 //! lint rule a minimal source fixture containing exactly the defect it
 //! exists to catch, asserting the finding carries the right [`Rule`] id.
 
 use supernova_analyze::interference::{
-    certify, check_accesses, Access, AccessKind, InterferenceKind, Region, Resource,
+    certify, check_accesses, plan_fingerprint, Access, AccessKind, InterferenceKind, Region,
+    Resource,
 };
 use supernova_analyze::{lint_file, lint_file_diag, Rule};
 use supernova_sparse::{BlockPattern, ExecutionPlan, SymbolicFactor};
@@ -32,26 +33,30 @@ fn kinds(violations: &[supernova_analyze::interference::InterferenceViolation]) 
 }
 
 #[test]
-fn pristine_plan_certifies_and_mutants_escape_the_certificate() {
+fn pristine_plan_is_certified_and_mutants_drop_the_certificate() {
     let pristine = plan();
     let cert = certify(&pristine).expect("pristine plan must certify");
-    assert!(cert.covers(&pristine));
+    assert_eq!(pristine.certificate(), Some(&cert));
 
-    // Any structural edit must change the fingerprint: a stale certificate
-    // silently covering a mutated plan would let the executor batch an
-    // unproven schedule.
+    // Any structural edit must change the fingerprint and void the proof
+    // the plan held: a stale certificate on a mutated plan would let the
+    // executor batch an unproven schedule.
     let mut mutant = plan();
-    if let Some(mg) = mutant
+    assert!(mutant.certificate().is_some());
+    let task = mutant
         .tasks_mut()
         .iter_mut()
-        .find_map(|t| t.merges.first_mut())
-    {
-        if let Some(b) = mg.blocks.first_mut() {
-            b.dst_row += 1;
-        }
-    }
+        .find(|t| !t.merges.is_empty())
+        .expect("fixture plan has a merge");
+    // Move the target below the parent's front.
+    task.merges[0].blocks[0].dst_row += task.pivot_dim + task.rem_dim;
+    assert_ne!(
+        plan_fingerprint(&mutant),
+        cert.fingerprint(),
+        "edited scatter target must change the fingerprint"
+    );
     assert!(
-        !cert.covers(&mutant),
+        mutant.certificate().is_none(),
         "edited scatter target must void the certificate"
     );
 }
@@ -230,6 +235,21 @@ fn lock_order_fixture_caught_with_right_rule_id() {
         .collect();
     assert_eq!(lock.len(), 1, "{d:?}");
     assert_eq!(lock[0].rule.id(), "lock-order");
+    assert_eq!(lock[0].line, 3);
+}
+
+#[test]
+fn fleet_router_lock_rank_matches_its_binding() {
+    // The router binary acquires its mutex as `shared.lock()`; taking it
+    // again while the first guard is held must be a rank violation.
+    let fixture = "fn f(shared: &M) {\n    let a = shared.lock();\n    let b = shared.lock();\n}\n";
+    let d = lint_file_diag("crates/fleet/src/bin/fleet_router.rs", fixture);
+    let lock: Vec<_> = d
+        .violations
+        .iter()
+        .filter(|v| v.rule == Rule::LockOrder)
+        .collect();
+    assert_eq!(lock.len(), 1, "{d:?}");
     assert_eq!(lock[0].line, 3);
 }
 

@@ -8,8 +8,8 @@ use supernova_linalg::ops::{Op, OpTrace};
 use supernova_linalg::{gemm, norm_inf, Mat, NumericMode, Transpose};
 use supernova_runtime::{node_work_from_plan, StepTrace};
 use supernova_sparse::{
-    interference, ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor,
-    ParallelExecutor, PlanCertificate, SymbolicFactor,
+    ordering, BlockMat, BlockPattern, ExecutionPlan, HostSchedule, NumericFactor, ParallelExecutor,
+    SymbolicFactor,
 };
 
 /// A prepared fill-reducing reordering (see
@@ -63,16 +63,15 @@ pub struct IncrementalCore {
     sym: Option<SymbolicFactor>,
     /// Execution plan derived from `sym`, cached across steps and rebuilt
     /// only when the pattern's structure (or the elimination order)
-    /// actually changes — see [`analyze`](Self::analyze).
+    /// actually changes — see [`analyze`](Self::analyze). The plan owns
+    /// its level-safety proof, computed on its first parallel execution
+    /// ([`ExecutionPlan::certificate`]), so a single-thread engine never
+    /// certifies.
     plan: Option<ExecutionPlan>,
     /// `(num_blocks, nnz_blocks)` the cached plan was built for. The
     /// pattern only ever grows, so unchanged counts prove the structure is
     /// unchanged.
     plan_structure: Option<(usize, usize)>,
-    /// Level-safety certificate for the cached plan, computed once per
-    /// plan rebuild by the static interference checker. `None` if the
-    /// plan could not be proven safe — the executor then runs it serially.
-    plan_cert: Option<PlanCertificate>,
     /// Bumped every time the plan cache is rebuilt (testability hook for
     /// the invalidation rules).
     plan_generation: usize,
@@ -168,12 +167,6 @@ impl IncrementalCore {
     /// The cached execution plan (after the first [`analyze`](Self::analyze)).
     pub fn plan(&self) -> Option<&ExecutionPlan> {
         self.plan.as_ref()
-    }
-
-    /// The level-safety certificate of the cached plan, if the static
-    /// interference checker proved it (recomputed at every plan rebuild).
-    pub fn plan_certificate(&self) -> Option<&PlanCertificate> {
-        self.plan_cert.as_ref()
     }
 
     /// How many times the plan cache has been (re)built. Stays flat across
@@ -361,15 +354,14 @@ impl IncrementalCore {
     /// the pattern's structure actually changed (the pattern only grows, so
     /// an unchanged `(num_blocks, nnz_blocks)` pair proves equality), and
     /// on [`apply_reorder`](Self::apply_reorder), which permutes the
-    /// structure without changing either count.
+    /// structure without changing either count. A rebuild does not
+    /// certify the new plan: the plan proves itself level-safe on its
+    /// first parallel execution.
     pub fn analyze(&mut self) -> &SymbolicFactor {
         let structure = (self.pattern.num_blocks(), self.pattern.nnz_blocks());
         if self.plan.is_none() || self.plan_structure != Some(structure) {
             let sym = SymbolicFactor::analyze(&self.pattern, self.relax);
-            let plan = ExecutionPlan::from_symbolic(&sym);
-            // Certify once per rebuild; an unprovable plan runs serially.
-            self.plan_cert = interference::certify(&plan).ok();
-            self.plan = Some(plan);
+            self.plan = Some(ExecutionPlan::from_symbolic(&sym));
             self.plan_structure = Some(structure);
             self.plan_generation += 1;
             self.sym = Some(sym);
@@ -456,9 +448,7 @@ impl IncrementalCore {
                 .pattern_size_of_nodes(&(0..plan.sym.nodes().len()).collect::<Vec<_>>());
         // A reorder permutes the structure without changing the block or
         // nnz counts, so the plan cache must be invalidated explicitly.
-        let exec_plan = ExecutionPlan::from_symbolic(&plan.sym);
-        self.plan_cert = interference::certify(&exec_plan).ok();
-        self.plan = Some(exec_plan);
+        self.plan = Some(ExecutionPlan::from_symbolic(&plan.sym));
         self.plan_structure = Some((self.pattern.num_blocks(), self.pattern.nnz_blocks()));
         self.plan_generation += 1;
         self.sym = Some(plan.sym);
@@ -526,13 +516,12 @@ impl IncrementalCore {
         // Incremental plan execution with non-PD damping recovery.
         let mut attempts = 0usize;
         let stats = loop {
-            let cert = self.plan_cert.as_ref();
             let result = match self.num.as_mut() {
-                Some(num) => num.execute_plan(plan, &self.h, &dirty, &self.executor, cert),
+                Some(num) => num.execute_plan(plan, &self.h, &dirty, &self.executor),
                 None => {
                     let all: Vec<usize> = (0..plan.num_blocks()).collect();
                     let mut num = NumericFactor::empty(plan);
-                    num.execute_plan(plan, &self.h, &all, &self.executor, cert)
+                    num.execute_plan(plan, &self.h, &all, &self.executor)
                         .map(|out| {
                             self.num = Some(num);
                             out

@@ -159,8 +159,8 @@ impl OnlineSolver for RaIsam2 {
         // symbolic analysis serves both cost estimation and factorization.
         self.core.analyze();
         // lint: allow(unwrap) — core.analyze() ran earlier in this update
-        let sym = self.core.symbolic().expect("analyzed").clone();
-        let node_bytes = self.core.node_factor_bytes(&sym);
+        let sym = self.core.symbolic().expect("analyzed");
+        let node_bytes = self.core.node_factor_bytes(sym);
         let node_cost = |s: usize| {
             let info = &sym.nodes()[s];
             self.cost

@@ -5,12 +5,12 @@
 //! OS threads (`supernova-analyze`'s `thread-spawn` lint keeps a declared
 //! allowlist; the serve dispatcher's worker pool is the other notable
 //! entry). An [`ExecutionPlan`](crate::ExecutionPlan)'s recomputed tasks
-//! run either inline in postorder or, when a [`PlanCertificate`] proves
-//! the plan level-safe, level by level on a worker pool with a barrier
-//! between levels. Because every task is a pure function of the Hessian
-//! and its children's cached update matrices — merged in the plan's fixed
-//! child order — results are bit-identical to serial execution at any
-//! thread count.
+//! run either inline in postorder or, when the plan's own
+//! [`certificate`](ExecutionPlan::certificate) proves it level-safe, level
+//! by level on a worker pool with a barrier between levels. Because every
+//! task is a pure function of the Hessian and its children's cached update
+//! matrices — merged in the plan's fixed child order — results are
+//! bit-identical to serial execution at any thread count.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -18,7 +18,6 @@ use std::time::Instant;
 
 use supernova_linalg::{KernelScratch, Mat, NumericMode};
 
-use crate::interference::PlanCertificate;
 use crate::ExecutionPlan;
 
 /// A worker's preallocated scratch buffers, reused across every task the
@@ -106,13 +105,14 @@ impl Workspace {
 pub enum DispatchMode {
     /// Inline postorder on the calling thread (one worker): every
     /// single-threaded execution, every execution with at most one
-    /// recomputed task, and every multi-threaded execution whose plan has
-    /// no covering [`PlanCertificate`].
+    /// recomputed task, and every multi-threaded execution whose plan
+    /// cannot be proven level-safe.
     #[default]
     Serial = 0,
     /// Worker pool with one atomic claim cursor per task level and a
-    /// barrier between levels — no locks on the task path. Requires a
-    /// [`PlanCertificate`] proving same-level tasks access-disjoint.
+    /// barrier between levels — no locks on the task path. Requires the
+    /// plan's [`certificate`](ExecutionPlan::certificate) proving
+    /// same-level tasks access-disjoint.
     LevelBatched = 2,
 }
 
@@ -393,13 +393,15 @@ impl ParallelExecutor {
     ///
     /// - **serial** ([`DispatchMode::Serial`]): plan postorder on the
     ///   calling thread. Used when the executor has one thread, when at
-    ///   most one task is flagged, and when `cert` is missing or does not
-    ///   [cover](PlanCertificate::covers) `plan` — without the proof the
-    ///   executor never runs work concurrently.
+    ///   most one task is flagged, and when the plan cannot be proven
+    ///   level-safe — without the proof the executor never runs work
+    ///   concurrently.
     /// - **level-batched** ([`DispatchMode::LevelBatched`]) otherwise: the
     ///   plan's [`levels`](ExecutionPlan::levels) in order on a scoped
     ///   worker pool, with a barrier between levels.
     ///
+    /// The plan's [`certificate`](ExecutionPlan::certificate) is asked for
+    /// last, so a one-thread or one-task run never pays for the proof.
     /// Results are bit-identical on both paths: the certificate only
     /// changes *when* independent work runs, never its inputs. On error,
     /// in-flight work finishes, no new work starts, and the error from the
@@ -408,7 +410,6 @@ impl ParallelExecutor {
         &self,
         plan: &ExecutionPlan,
         recompute: &[bool],
-        cert: Option<&PlanCertificate>,
         task_fn: F,
     ) -> (Result<(), E>, HostSchedule)
     where
@@ -418,9 +419,7 @@ impl ParallelExecutor {
         assert_eq!(recompute.len(), plan.num_tasks());
         self.prepare(plan);
         let total: usize = recompute.iter().filter(|&&r| r).count();
-        // The coverage check re-derives the plan fingerprint, so it only
-        // runs when the answer matters.
-        if self.threads > 1 && total > 1 && cert.is_some_and(|c| c.covers(plan)) {
+        if self.threads > 1 && total > 1 && plan.certificate().is_some() {
             run_batched(self, plan, recompute, &task_fn)
         } else {
             run_serial(self, plan, recompute, &task_fn)
@@ -594,12 +593,13 @@ impl SpinBarrier {
 /// claim cursor per topological task level and a [`SpinBarrier`] between
 /// levels.
 ///
-/// Inside a level there is no ordering at all — the [`PlanCertificate`]
-/// proves same-level tasks access-disjoint, so any interleaving computes
-/// identical bits. *Between* levels the barrier provides the
-/// happens-before edge every cross-level read needs (a parent consuming a
-/// child's published update matrix): a worker passes the level-`k`
-/// barrier only after every level-`k` task has completed and published.
+/// Inside a level there is no ordering at all — the plan's
+/// [`certificate`](ExecutionPlan::certificate) proves same-level tasks
+/// access-disjoint, so any interleaving computes identical bits.
+/// *Between* levels the barrier provides the happens-before edge every
+/// cross-level read needs (a parent consuming a child's published update
+/// matrix): a worker passes the level-`k` barrier only after every
+/// level-`k` task has completed and published.
 /// Levels with nothing to recompute are skipped outright.
 ///
 /// The task path holds no locks: claiming a task is one `fetch_add` on
@@ -707,7 +707,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interference::certify;
     use crate::{BlockPattern, SymbolicFactor};
     use std::sync::atomic::AtomicU64;
 
@@ -729,22 +728,6 @@ mod tests {
         ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p, 0))
     }
 
-    /// [`ParallelExecutor::run`] with the plan's own certificate, so
-    /// multi-threaded executors batch.
-    fn run_tasks<E, F>(
-        exec: &ParallelExecutor,
-        plan: &ExecutionPlan,
-        recompute: &[bool],
-        task_fn: F,
-    ) -> (Result<(), E>, HostSchedule)
-    where
-        E: Send,
-        F: Fn(usize, &mut Workspace) -> Result<(), E> + Sync,
-    {
-        let cert = certify(plan).expect("test plan certifies");
-        exec.run(plan, recompute, Some(&cert), task_fn)
-    }
-
     fn expected_mode(threads: usize) -> DispatchMode {
         if threads == 1 {
             DispatchMode::Serial
@@ -761,7 +744,7 @@ mod tests {
                 let counts: Vec<AtomicUsize> =
                     (0..plan.num_tasks()).map(|_| AtomicUsize::new(0)).collect();
                 let exec = ParallelExecutor::new(threads);
-                let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |s, _ws| {
+                let (res, sched) = exec.run::<(), _>(&plan, &recompute, |s, _ws| {
                     counts[s].fetch_add(1, Ordering::SeqCst);
                     Ok(())
                 });
@@ -784,7 +767,7 @@ mod tests {
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
                 .collect();
             let exec = ParallelExecutor::new(3);
-            let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |s, _ws| {
+            let (res, sched) = exec.run::<(), _>(&plan, &recompute, |s, _ws| {
                 marks[s]
                     .0
                     .store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
@@ -827,7 +810,7 @@ mod tests {
             let want = recompute.iter().filter(|&&r| r).count();
             let ran = AtomicUsize::new(0);
             let exec = ParallelExecutor::new(4);
-            let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |s, _ws| {
+            let (res, sched) = exec.run::<(), _>(&plan, &recompute, |s, _ws| {
                 assert!(recompute[s], "task {s} was not flagged");
                 ran.fetch_add(1, Ordering::SeqCst);
                 Ok(())
@@ -845,12 +828,9 @@ mod tests {
         let recompute = vec![true; plan.num_tasks()];
         for threads in [1usize, 2, 4] {
             let exec = ParallelExecutor::new(threads);
-            let (res, sched) = run_tasks::<usize, _>(&exec, &plan, &recompute, |s, _ws| {
-                if s == 0 {
-                    Err(s)
-                } else {
-                    Ok(())
-                }
+            let (res, sched) = exec.run(&plan, &recompute, |s, _ws| match s {
+                0 => Err(s),
+                _ => Ok(()),
             });
             assert_eq!(res, Err(0));
             assert_eq!(sched.mode, expected_mode(threads));
@@ -860,25 +840,22 @@ mod tests {
     #[test]
     fn batched_path_matches_serial_errors_and_spans() {
         let plan = fan_plan(9);
-        let cert = certify(&plan).expect("certifies");
         let recompute = vec![true; plan.num_tasks()];
         // Leaves 2 and 5 fail; the root never starts.
         let root = *plan.postorder().last().expect("nonempty"); // lint: allow(unwrap)
         let failing = |s: usize| s == 2 || s == 5;
         let task_fn = |s: usize, _ws: &mut Workspace| if failing(s) { Err(s) } else { Ok(()) };
-        let (serial_res, serial) =
-            ParallelExecutor::serial().run(&plan, &recompute, Some(&cert), task_fn);
+        let (serial_res, serial) = ParallelExecutor::serial().run(&plan, &recompute, task_fn);
         assert_eq!(serial_res, Err(2));
         for threads in [2usize, 4] {
             let exec = ParallelExecutor::new(threads);
-            let (res, sched) = exec.run(&plan, &recompute, Some(&cert), task_fn);
+            let (res, sched) = exec.run(&plan, &recompute, task_fn);
             assert_eq!(res, serial_res, "{threads} threads");
             assert_eq!(sched.mode, DispatchMode::LevelBatched);
             assert_eq!(sched.split_units, 0);
             assert!(sched.spans.iter().all(|sp| sp.node != root));
             // Clean run: one whole-task span per task, as serial.
-            let (res, sched) =
-                exec.run::<usize, _>(&plan, &recompute, Some(&cert), |_s, _ws| Ok(()));
+            let (res, sched) = exec.run::<usize, _>(&plan, &recompute, |_s, _ws| Ok(()));
             assert!(res.is_ok());
             assert_eq!(sched.mode, DispatchMode::LevelBatched);
             assert!(sched.workers > 1);
@@ -892,30 +869,45 @@ mod tests {
 
     #[test]
     fn coverage_gate_selects_batching() {
-        let plan = plan_of(12);
-        let cert = certify(&plan).expect("certifies");
-        let foreign = certify(&plan_of(5)).expect("certifies");
-        let recompute = vec![true; plan.num_tasks()];
-        let run = |exec: ParallelExecutor, cert: Option<&PlanCertificate>| {
-            exec.run::<(), _>(&plan, &recompute, cert, |_s, _ws| Ok(()))
+        let recompute = vec![true; plan_of(12).num_tasks()];
+        let run = |exec: ParallelExecutor, plan: &ExecutionPlan| {
+            exec.run::<(), _>(plan, &recompute, |_s, _ws| Ok(()))
         };
-        // No certificate, or one for a *different* plan: serial on one
-        // worker, never parallel without proof.
-        for cert in [None, Some(&foreign)] {
-            let (res, sched) = run(ParallelExecutor::new(2), cert);
+        // A plan that proves level-safe batches; a serial executor stamps
+        // it Serial all the same.
+        let plan = plan_of(12);
+        let (res, sched) = run(ParallelExecutor::new(2), &plan);
+        assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::LevelBatched);
+        let (res, sched) = run(ParallelExecutor::serial(), &plan);
+        assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::Serial);
+        // A plan corrupted after it was certified — a level-table
+        // duplicate, or a scatter target moved out of its parent's front —
+        // drops its proof and runs serial on one worker: never parallel
+        // without proof.
+        let corruptions: [fn(&mut ExecutionPlan); 2] = [
+            |p| {
+                let dup = p.levels()[0][0];
+                p.levels_mut()[0].push(dup);
+            },
+            |p| {
+                let s = p.postorder()[p.num_tasks() - 1];
+                let front = p.tasks()[s].front_dim();
+                p.tasks_mut()[s].merges[0].blocks[0].dst_row += front;
+            },
+        ];
+        for corrupt in corruptions {
+            let mut plan = plan_of(12);
+            assert!(plan.certificate().is_some());
+            corrupt(&mut plan);
+            assert!(plan.certificate().is_none());
+            let (res, sched) = run(ParallelExecutor::new(2), &plan);
             assert!(res.is_ok());
             assert_eq!(sched.mode, DispatchMode::Serial);
             assert_eq!(sched.workers, 1);
             assert_eq!(sched.spans.len(), plan.num_tasks());
         }
-        // A covering certificate batches.
-        let (res, sched) = run(ParallelExecutor::new(2), Some(&cert));
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::LevelBatched);
-        // Serial executions are stamped Serial regardless of certificate.
-        let (res, sched) = run(ParallelExecutor::serial(), Some(&cert));
-        assert!(res.is_ok());
-        assert_eq!(sched.mode, DispatchMode::Serial);
     }
 
     #[test]
@@ -949,7 +941,7 @@ mod tests {
                 scratch.reserve(pack);
                 Ok(())
             };
-            let (res, sched) = run_tasks(&exec, &plan, &recompute, task);
+            let (res, sched) = exec.run(&plan, &recompute, task);
             assert!(res.is_ok());
             assert_eq!(sched.mode, expected_mode(threads));
             let warm = exec.pool_stats();
@@ -958,7 +950,7 @@ mod tests {
             // Clones share the same pool; re-running must not grow it.
             let alias = exec.clone();
             for _ in 0..3 {
-                let (res, _) = run_tasks(&alias, &plan, &recompute, task);
+                let (res, _) = alias.run(&plan, &recompute, task);
                 assert!(res.is_ok());
             }
             let steady = exec.pool_stats();
@@ -973,7 +965,7 @@ mod tests {
         let plan = fan_plan(6);
         let recompute = vec![true; plan.num_tasks()];
         let exec = ParallelExecutor::new(2);
-        let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |_s, _ws| Ok(()));
+        let (res, sched) = exec.run::<(), _>(&plan, &recompute, |_s, _ws| Ok(()));
         assert!(res.is_ok());
         assert_eq!(sched.mode, DispatchMode::LevelBatched);
         // No kernels ran, so every span meters zero — but the field is
@@ -987,7 +979,7 @@ mod tests {
         let plan = fan_plan(10);
         let recompute = vec![true; plan.num_tasks()];
         let exec = ParallelExecutor::new(2);
-        let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |_s, _ws| Ok(()));
+        let (res, sched) = exec.run::<(), _>(&plan, &recompute, |_s, _ws| Ok(()));
         assert!(res.is_ok());
         assert_eq!(sched.mode, DispatchMode::LevelBatched);
         assert!(sched.dispatch_overhead_s() >= 0.0);
@@ -1024,7 +1016,7 @@ mod tests {
         let plan = fan_plan(10);
         let recompute = vec![true; plan.num_tasks()];
         let exec = ParallelExecutor::new(2);
-        let (res, sched) = run_tasks::<(), _>(&exec, &plan, &recompute, |_s, ws| {
+        let (res, sched) = exec.run::<(), _>(&plan, &recompute, |_s, ws| {
             // Touch the workspace so the buffer path is exercised.
             ws.front_mut().reset(4, 4);
             Ok(())

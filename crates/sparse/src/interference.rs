@@ -24,13 +24,14 @@
 //!    partitions the tasks, parents sit above children, scatter blocks
 //!    stay inside their source and destination bounds) and, when every
 //!    check passes, emits a [`PlanCertificate`] carrying a structural
-//!    fingerprint of the plan. The executor re-derives the fingerprint
-//!    before trusting a certificate, so a certificate can never be applied
-//!    to a plan it was not computed from.
+//!    fingerprint of the plan.
 //!
+//! The plan owns its proof: [`ExecutionPlan::certificate`] runs
+//! [`certify`] on its first call — made only by a multi-threaded run with
+//! more than one recomputed task — and the plan's mutable accessors drop
+//! it, so a certificate never outlives the structure it was proven for.
 //! `supernova-analyze` re-exports this pass and runs it over the committed
-//! dataset plans in CI; `solvers::engine` certifies each plan once at
-//! plan-cache build time.
+//! dataset plans in CI.
 
 use std::fmt;
 
@@ -185,14 +186,11 @@ impl fmt::Display for InterferenceViolation {
 /// is access-disjoint, so batched (level-barrier) dispatch is observably
 /// identical to serial execution.
 ///
-/// The certificate is bound to the plan it was computed from by a
-/// structural fingerprint; [`covers`](Self::covers) re-derives the
-/// fingerprint, so certificates cannot be replayed against other plans.
+/// Held by the plan it was computed from ([`ExecutionPlan::certificate`]);
+/// its fingerprint identifies that plan's structure in diagnostics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanCertificate {
     fingerprint: u64,
-    num_tasks: usize,
-    num_levels: usize,
     accesses: usize,
 }
 
@@ -202,27 +200,9 @@ impl PlanCertificate {
         self.fingerprint
     }
 
-    /// Tasks in the certified plan.
-    pub fn num_tasks(&self) -> usize {
-        self.num_tasks
-    }
-
-    /// Topological levels in the certified plan.
-    pub fn num_levels(&self) -> usize {
-        self.num_levels
-    }
-
     /// Size of the read/write set the proof covered.
     pub fn accesses(&self) -> usize {
         self.accesses
-    }
-
-    /// Whether this certificate was computed from `plan` — the executor's
-    /// gate before switching to batched dispatch.
-    pub fn covers(&self, plan: &ExecutionPlan) -> bool {
-        self.num_tasks == plan.num_tasks()
-            && self.num_levels == plan.levels().len()
-            && self.fingerprint == plan_fingerprint(plan)
     }
 }
 
@@ -511,6 +491,8 @@ fn check_structure(plan: &ExecutionPlan) -> Vec<InterferenceViolation> {
 
 /// Runs the full interference proof over `plan` and, if it holds, emits
 /// the [`PlanCertificate`] the executor's batched dispatch mode requires.
+/// Executors reach it through [`ExecutionPlan::certificate`], which keeps
+/// the verdict with the plan.
 ///
 /// # Errors
 ///
@@ -527,8 +509,6 @@ pub fn certify(plan: &ExecutionPlan) -> Result<PlanCertificate, Vec<Interference
     }
     Ok(PlanCertificate {
         fingerprint: plan_fingerprint(plan),
-        num_tasks: plan.num_tasks(),
-        num_levels: plan.levels().len(),
         accesses: accesses.len(),
     })
 }
@@ -553,16 +533,9 @@ mod tests {
     fn real_plans_certify() {
         let plan = plan();
         let cert = certify(&plan).expect("loopy plan must certify");
-        assert!(cert.covers(&plan));
-        assert_eq!(cert.num_tasks(), plan.num_tasks());
+        assert_eq!(plan.certificate(), Some(&cert));
+        assert_eq!(cert.fingerprint(), plan_fingerprint(&plan));
         assert!(cert.accesses() > 0);
-        // A different plan is not covered.
-        let mut p2 = BlockPattern::new(vec![2; 5]);
-        for i in 0..4 {
-            p2.add_block_edge(i, i + 1);
-        }
-        let other = ExecutionPlan::from_symbolic(&SymbolicFactor::analyze(&p2, 0));
-        assert!(!cert.covers(&other));
     }
 
     #[test]

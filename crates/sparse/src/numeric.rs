@@ -158,7 +158,7 @@ impl NumericFactor {
         dirty_blocks: &[usize],
     ) -> Result<RefactorStats, FactorizeError> {
         let plan = ExecutionPlan::from_symbolic(sym);
-        self.execute_plan(&plan, h, dirty_blocks, &ParallelExecutor::serial(), None)
+        self.execute_plan(&plan, h, dirty_blocks, &ParallelExecutor::serial())
             .map(|(stats, _)| stats)
     }
 
@@ -178,12 +178,12 @@ impl NumericFactor {
     /// and each recomputed task runs against a preallocated per-worker
     /// workspace.
     ///
-    /// `cert` is the plan's level-safety proof from
-    /// [`interference::certify`](crate::interference::certify). A
-    /// multi-threaded `exec` runs a plan the certificate
-    /// [covers](crate::PlanCertificate::covers) level-batched on its
-    /// worker pool ([`DispatchMode::LevelBatched`](crate::DispatchMode));
-    /// without a covering certificate it runs serially. The pool is
+    /// On a multi-threaded `exec`, a plan that proves level-safe runs
+    /// level-batched on the worker pool
+    /// ([`DispatchMode::LevelBatched`](crate::DispatchMode)). The plan owns
+    /// that proof ([`ExecutionPlan::certificate`]): it is computed on the
+    /// plan's first parallel use, kept for later runs and dropped on
+    /// mutation. An unprovable plan runs serially. The pool is
     /// **bit-identical** to serial execution: every task merges its
     /// children's cached update matrices in the plan's fixed child order,
     /// so f64 sums never depend on completion order.
@@ -203,7 +203,6 @@ impl NumericFactor {
         h: &BlockMat,
         dirty_blocks: &[usize],
         exec: &ParallelExecutor,
-        cert: Option<&crate::PlanCertificate>,
     ) -> Result<(RefactorStats, HostSchedule), FactorizeError> {
         let num_nodes = plan.num_tasks();
         // Index the previous factorization by first pivot column.
@@ -247,7 +246,7 @@ impl NumericFactor {
         }
 
         let numeric = exec.numeric();
-        let (res, sched) = exec.run(plan, &is_recompute, cert, |s, ws| {
+        let (res, sched) = exec.run(plan, &is_recompute, |s, ws| {
             let out = compute_task(plan, h, s, &slots, ws, numeric)?;
             let published = slots[s].set(out).is_ok();
             debug_assert!(published, "task {s} executed twice");
@@ -785,13 +784,12 @@ mod tests {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
-        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let h = build_h(&p, 17);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
 
         let mut serial = NumericFactor::empty(&plan);
         let (stats_s, sched_s) = serial
-            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial(), Some(&cert))
+            .execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
             .unwrap();
         let bytes_s = serial.serialize_bytes();
         assert_eq!(sched_s.workers, 1);
@@ -799,13 +797,7 @@ mod tests {
         for threads in [2usize, 4, 8] {
             let mut par = NumericFactor::empty(&plan);
             let (stats_p, sched_p) = par
-                .execute_plan(
-                    &plan,
-                    &h,
-                    &all,
-                    &ParallelExecutor::new(threads),
-                    Some(&cert),
-                )
+                .execute_plan(&plan, &h, &all, &ParallelExecutor::new(threads))
                 .unwrap();
             assert_eq!(sched_p.mode, crate::DispatchMode::LevelBatched);
             assert!(sched_p.workers > 1, "{threads} threads ran on one worker");
@@ -820,16 +812,12 @@ mod tests {
         h1.add_to_block(3, 3, &Mat::from_diag(&vec![0.75; p.block_dims()[3]]));
         let mut inc_serial = serial;
         inc_serial
-            .execute_plan(&plan, &h1, &[3], &ParallelExecutor::serial(), None)
+            .execute_plan(&plan, &h1, &[3], &ParallelExecutor::serial())
             .unwrap();
         let mut inc_par = NumericFactor::empty(&plan);
         let exec = ParallelExecutor::new(4);
-        inc_par
-            .execute_plan(&plan, &h, &all, &exec, Some(&cert))
-            .unwrap();
-        inc_par
-            .execute_plan(&plan, &h1, &[3], &exec, Some(&cert))
-            .unwrap();
+        inc_par.execute_plan(&plan, &h, &all, &exec).unwrap();
+        inc_par.execute_plan(&plan, &h1, &[3], &exec).unwrap();
         assert_eq!(inc_serial.serialize_bytes(), inc_par.serialize_bytes());
     }
 
@@ -838,21 +826,18 @@ mod tests {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
-        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let h = build_h(&p, 17);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
         for mode in [NumericMode::F32, NumericMode::F32F64] {
             let mut serial = NumericFactor::empty(&plan);
             let exec = ParallelExecutor::serial().with_numeric(mode);
-            let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec, None).unwrap();
+            let (_, sched_s) = serial.execute_plan(&plan, &h, &all, &exec).unwrap();
             assert_eq!(sched_s.numeric, mode);
             let bytes_s = serial.serialize_bytes();
             for threads in [2usize, 4, 8] {
                 let mut par = NumericFactor::empty(&plan);
                 let exec = ParallelExecutor::new(threads).with_numeric(mode);
-                let (_, sched_p) = par
-                    .execute_plan(&plan, &h, &all, &exec, Some(&cert))
-                    .unwrap();
+                let (_, sched_p) = par.execute_plan(&plan, &h, &all, &exec).unwrap();
                 assert_eq!(sched_p.numeric, mode);
                 assert!(
                     sched_p.workers > 1,
@@ -867,7 +852,7 @@ mod tests {
             // The narrow engines genuinely round: a same-input f64 factor
             // must differ, or the mode never reached the kernels.
             let mut wide = NumericFactor::empty(&plan);
-            wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial(), None)
+            wide.execute_plan(&plan, &h, &all, &ParallelExecutor::serial())
                 .unwrap();
             assert_ne!(
                 bytes_s,
@@ -882,21 +867,16 @@ mod tests {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
-        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let h0 = build_h(&p, 1);
         let all: Vec<usize> = (0..p.num_blocks()).collect();
         let exec = ParallelExecutor::new(4);
 
         let mut via_plan = NumericFactor::empty(&plan);
-        via_plan
-            .execute_plan(&plan, &h0, &all, &exec, Some(&cert))
-            .unwrap();
+        via_plan.execute_plan(&plan, &h0, &all, &exec).unwrap();
 
         let mut h1 = h0.clone();
         h1.add_to_block(2, 2, &Mat::from_diag(&vec![1.5; p.block_dims()[2]]));
-        let (stats, _) = via_plan
-            .execute_plan(&plan, &h1, &[2], &exec, Some(&cert))
-            .unwrap();
+        let (stats, _) = via_plan.execute_plan(&plan, &h1, &[2], &exec).unwrap();
 
         // Mirror the serial refactor path on a fresh factor.
         let mut via_refactor = NumericFactor::factorize(&sym, &h0).unwrap();
@@ -925,25 +905,20 @@ mod tests {
         let p = loopy_pattern();
         let sym = SymbolicFactor::analyze(&p, 0);
         let plan = ExecutionPlan::from_symbolic(&sym);
-        let cert = crate::interference::certify(&plan).expect("loopy plan certifies");
         let mut bad = build_h(&p, 3);
         bad.add_to_block(0, 0, &Mat::from_diag(&vec![-1e9; p.block_dims()[0]]));
         let all: Vec<usize> = (0..p.num_blocks()).collect();
         let want = NumericFactor::empty(&plan)
-            .execute_plan(&plan, &bad, &all, &ParallelExecutor::serial(), None)
+            .execute_plan(&plan, &bad, &all, &ParallelExecutor::serial())
             .unwrap_err();
         let good = build_h(&p, 3);
         for threads in [2usize, 4] {
             let exec = ParallelExecutor::new(threads);
             let mut num = NumericFactor::empty(&plan);
-            let err = num
-                .execute_plan(&plan, &bad, &all, &exec, Some(&cert))
-                .unwrap_err();
+            let err = num.execute_plan(&plan, &bad, &all, &exec).unwrap_err();
             assert_eq!(err, want, "{threads} threads reported another pivot");
             // A good system factorizes fine afterwards.
-            let (stats, sched) = num
-                .execute_plan(&plan, &good, &all, &exec, Some(&cert))
-                .unwrap();
+            let (stats, sched) = num.execute_plan(&plan, &good, &all, &exec).unwrap();
             assert_eq!(stats.recomputed.len(), plan.num_tasks());
             assert!(sched.workers > 1);
         }

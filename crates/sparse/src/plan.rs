@@ -14,6 +14,9 @@
 //! factors: each task is a pure function of `H` and its children's cached
 //! update matrices, independent of completion order.
 
+use std::sync::OnceLock;
+
+use crate::interference::{self, PlanCertificate};
 use crate::SymbolicFactor;
 
 /// One rectangular block copied (added) from a child's update matrix into
@@ -118,6 +121,8 @@ pub struct ExecutionPlan {
     node_of_block: Vec<usize>,
     max_workspace_elems: usize,
     total_dim: usize,
+    /// Lazily proven [`certificate`](Self::certificate); reset on mutation.
+    certificate: OnceLock<Option<PlanCertificate>>,
 }
 
 impl ExecutionPlan {
@@ -231,7 +236,18 @@ impl ExecutionPlan {
             node_of_block,
             max_workspace_elems,
             total_dim: sym.total_dim(),
+            certificate: OnceLock::new(),
         }
+    }
+
+    /// The plan's level-safety proof: [`interference::certify`] runs on
+    /// the first call — the executor makes it only for a parallel run —
+    /// and the verdict is kept until the plan is mutated. `None` when the
+    /// plan cannot be proven level-safe; the executor then runs it serially.
+    pub fn certificate(&self) -> Option<&PlanCertificate> {
+        self.certificate
+            .get_or_init(|| interference::certify(self).ok())
+            .as_ref()
     }
 
     /// The tasks, indexed by supernode id.
@@ -256,11 +272,11 @@ impl ExecutionPlan {
     }
 
     /// Mutable task table, exposed for mutation testing of the
-    /// interference checker. Any structural edit changes the plan
-    /// fingerprint and so invalidates previously issued certificates —
-    /// which is exactly what the mutation suite asserts.
+    /// interference checker. Drops the plan's certificate, so the next
+    /// [`certificate`](Self::certificate) call re-proves the edited plan.
     #[doc(hidden)]
     pub fn tasks_mut(&mut self) -> &mut [PlanTask] {
+        self.certificate.take();
         &mut self.tasks
     }
 
@@ -268,6 +284,7 @@ impl ExecutionPlan {
     /// interference checker (see [`Self::tasks_mut`]).
     #[doc(hidden)]
     pub fn levels_mut(&mut self) -> &mut Vec<Vec<usize>> {
+        self.certificate.take();
         &mut self.levels
     }
 
@@ -515,5 +532,29 @@ mod tests {
         let occ = plan.level_occupancy(4);
         assert!(occ > 0.0 && occ <= 1.0);
         assert_eq!(plan.level_occupancy(1), 1.0);
+    }
+
+    #[test]
+    fn only_a_parallel_run_of_several_tasks_certifies() {
+        use crate::{DispatchMode, ParallelExecutor, Workspace};
+        let plan = ExecutionPlan::from_symbolic(&loopy());
+        let noop = |_s: usize, _ws: &mut Workspace| Ok::<(), ()>(());
+        let all = vec![true; plan.num_tasks()];
+        let mut root_only = vec![false; plan.num_tasks()];
+        root_only[plan.postorder()[plan.num_tasks() - 1]] = true;
+        // One thread, or one recomputed task, never asks for the proof.
+        for (threads, recompute) in [(1, &all), (2, &root_only)] {
+            let (res, sched) = ParallelExecutor::new(threads).run(&plan, recompute, noop);
+            assert!(res.is_ok());
+            assert_eq!(sched.mode, DispatchMode::Serial);
+            assert!(
+                plan.certificate.get().is_none(),
+                "{threads} thread(s) certified"
+            );
+        }
+        let (res, sched) = ParallelExecutor::new(2).run(&plan, &all, noop);
+        assert!(res.is_ok());
+        assert_eq!(sched.mode, DispatchMode::LevelBatched);
+        assert!(plan.certificate.get().is_some_and(Option::is_some));
     }
 }

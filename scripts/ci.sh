@@ -10,6 +10,8 @@
 # at the first failure):
 #
 #   fmt          cargo fmt --check
+#   warnings     cargo check of every target (tests, benches, examples,
+#                bins) with warnings denied
 #   build        release build of the workspace (+ bench-harness bins)
 #   test         cargo test -q --workspace
 #   doc          cargo doc --no-deps with warnings denied
@@ -50,7 +52,7 @@ set -u
 
 cd "$(dirname "$0")/.."
 
-STAGES="fmt build test doc perfbench lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos kernel-bench bench bench-check"
+STAGES="fmt warnings build test doc perfbench lint static-analysis determinism numeric-ape serve-smoke fleet-smoke chaos kernel-bench bench bench-check"
 
 now() {
     # GNU date gives fractional seconds. Some date(1) implementations
@@ -157,6 +159,7 @@ bench_regen() {
 run_stage() {
     case "$1" in
         fmt) cargo fmt --all --check ;;
+        warnings) RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --quiet ;;
         build) build_all ;;
         test) cargo test -q --workspace ;;
         doc) doc_deny_warnings ;;
